@@ -2,8 +2,8 @@
 2-groups, mod-2 graded cohomology computations, and a verification harness
 for the associated positive-scalar-curvature order accounting."""
 
-from .exactnum import (CyclotomicNumber, Rational, cyclotomic_polynomial,
-                       euler_phi, parse_cyclotomic, root_of_unity)
+from .exactnum import (CyclotomicNumber, cyclotomic_polynomial, euler_phi,
+                       parse_cyclotomic, root_of_unity)
 from .grouprep import (CharacterTable, FiniteGroup, FreeUnitaryRep,
                        InclusionMap, NotASubgroupMapError, NotFreeError,
                        NotIrreducibleError, OddLengthError,
@@ -11,12 +11,11 @@ from .grouprep import (CharacterTable, FiniteGroup, FreeUnitaryRep,
                        VirtualCharacter, builtin_group, character_table,
                        cyclic_free_rep, find_embeddings, frobenius_schur,
                        is_quaternion_type, is_real_type, quaternion_free_rep,
-                       restrict_virtual, virtual_dimension)
-from .eta import (EtaValue, EtaVector, LensSpec, ManifoldSpec, Modulus,
+                       restrict_virtual)
+from .eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
                   NonRationalSumError, NotFixedPointFreeError, eta_donnelly,
-                  eta_donnelly_float, eta_lens_bundle, eta_lens_bundle_float,
-                  eta_lens_cyclic, eta_lens_cyclic_float, eta_of, eta_of_float,
-                  eta_order, eta_vector, manifold_free_rep,
+                  eta_donnelly_float, eta_lens_bundle, eta_lens_cyclic,
+                  eta_of, eta_of_float, eta_order, manifold_free_rep,
                   rational_determinant, recursion_check,
                   span_order_lower_bound, thm31_modulus)
 from .f2ring import (DegeneratePairingError, DegreeBoundExceededError,
@@ -26,12 +25,11 @@ from .f2ring import (DegeneratePairingError, DegreeBoundExceededError,
                      SteenrodData, circle_bundle_cohomology,
                      circle_bundle_steenrod, circle_bundle_to_lens,
                      d8_to_v2_restriction, dihedral_cohomology,
-                     dual_pushforward, dual_pushforward_map, hom_apply,
+                     dual_pushforward, dual_pushforward_map,
                      klein_cohomology, lens_space_cohomology,
                      sd_to_circle_bundle, sd_to_d8_restriction,
                      semidihedral_cohomology, semidihedral_steenrod,
-                     sq1_branch_enumerate, steenrod_sq, stiefel_whitney,
-                     wu_classes)
+                     sq1_branch_enumerate, stiefel_whitney, wu_classes)
 from .glrverify import (ClaimResult, Report, kerap_lookup, run_report,
                         table_ko_order)
 

@@ -18,10 +18,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import glrverify
-from .eta import (LensSpec, ManifoldSpec, Modulus, eta_lens_bundle,
-                  eta_lens_bundle_float, eta_lens_cyclic,
-                  eta_lens_cyclic_float, eta_donnelly, eta_donnelly_float,
-                  eta_order, quaternion_free_rep, rational_determinant,
+from .eta import (EtaValue, LensSpec, ManifoldSpec, Modulus, eta_of,
+                  eta_of_float, eta_order, rational_determinant,
                   span_order_lower_bound, thm31_modulus)
 from .f2ring import (F2ParseError, PresentedF2Algebra, SteenrodData,
                      circle_bundle_cohomology, circle_bundle_steenrod,
@@ -32,7 +30,8 @@ from .f2ring import (F2ParseError, PresentedF2Algebra, SteenrodData,
                      semidihedral_steenrod, stiefel_whitney, wu_classes)
 from .grouprep import (CharacterTable, InclusionMap, ValidationError,
                        VirtualCharacter, builtin_group, character_table,
-                       restrict_virtual, table_from_json)
+                       inclusion_from_json, restrict_virtual, table_from_json)
+from .infix import parse_infix
 
 
 class ParseError(ValueError):
@@ -96,9 +95,7 @@ def load_config(path: Optional[str]) -> Config:
     for name, block in data.get("tables", {}).items():
         cfg.tables[name] = table_from_json(block)
     for name, block in data.get("inclusions", {}).items():
-        cfg.inclusions[name] = InclusionMap.from_images(
-            builtin_group(block["source"]), builtin_group(block["target"]),
-            block["images"])
+        cfg.inclusions[name] = inclusion_from_json(block)
     return cfg
 
 
@@ -106,86 +103,21 @@ def load_config(path: Optional[str]) -> Config:
 
 
 def parse_character(table: CharacterTable, text: str) -> VirtualCharacter:
-    """Mini-grammar for virtual characters: integers, irreducible names,
-    +, -, *, ^ and parentheses, e.g. "(2-tau)^2" or
+    """Virtual characters in the infix grammar of `etakit.infix`: integers,
+    irreducible names, +, -, *, ^ and parentheses, e.g. "(2-tau)^2" or
     "4 + rho*rho5 - 2*(rho+rho5)"."""
-    token_re = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
-                          r"|(?P<op>[-+*^()]))")
-    tokens = []
-    scan = 0
-    while scan < len(text):
-        m = token_re.match(text, scan)
-        if m is None or m.end() == scan:
-            if text[scan:].strip():
-                raise ParseError(f"unexpected character {text[scan]!r} at "
-                                 f"position {scan}")
-            break
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        scan = m.end()
     aliases = _CHAR_ALIASES.get(table.group.name, {})
-    pos = [0]
 
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else ("end", "", len(text))
-
-    def advance():
-        tok = peek()
-        pos[0] += 1
-        return tok
-
-    def atom() -> VirtualCharacter:
-        kind, val, p = advance()
-        if kind == "name":
-            name = aliases.get(val, val)
-            try:
-                return table.irreducible(name)
-            except KeyError:
-                raise ParseError(f"unknown character {val!r} at position {p}; "
-                                 f"choose from {', '.join(table.irreducible_names)}")
+    def atom(kind: str, value: str, pos: int) -> VirtualCharacter:
         if kind == "int":
-            return table.constant(int(val))
-        if kind == "op" and val == "(":
-            e = expr()
-            kind, val, p = advance()
-            if val != ")":
-                raise ParseError(f"expected ')' at position {p}")
-            return e
-        raise ParseError(f"unexpected token {val!r} at position {p}")
+            return table.constant(int(value))
+        try:
+            return table.irreducible(aliases.get(value, value))
+        except KeyError:
+            raise ParseError(f"unknown character {value!r} at position {pos}; "
+                             f"choose from {', '.join(table.irreducible_names)}")
 
-    def factor() -> VirtualCharacter:
-        e = atom()
-        while peek()[0] == "op" and peek()[1] == "^":
-            advance()
-            kind, val, p = advance()
-            if kind != "int":
-                raise ParseError(f"exponent must be an integer at position {p}")
-            e = e ** int(val)
-        return e
-
-    def term() -> VirtualCharacter:
-        e = factor()
-        while peek()[0] == "op" and peek()[1] == "*":
-            advance()
-            e = e * factor()
-        return e
-
-    def expr() -> VirtualCharacter:
-        negate = False
-        if peek()[0] == "op" and peek()[1] in "+-":
-            negate = advance()[1] == "-"
-        e = term()
-        if negate:
-            e = -e
-        while peek()[0] == "op" and peek()[1] in "+-":
-            op = advance()[1]
-            t = term()
-            e = e - t if op == "-" else e + t
-        return e
-
-    result = expr()
-    if peek()[0] != "end":
-        raise ParseError(f"unexpected token {peek()[1]!r} at position {peek()[2]}")
-    return result
+    return parse_infix(text, atom, lambda msg, pos: ParseError(f"{msg} at position {pos}"))
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -264,48 +196,36 @@ _DEFAULT_IMAGES = {
 def _emit_eta(value: Fraction, modulus: Modulus, args, float_value: float) -> None:
     if args.float:
         print(f"{float_value:.12g}")
-        return
-    order = eta_order(value, modulus)
-    if args.format == "json":
-        print(json.dumps({"value": str(value), "order": order,
+    elif args.format == "json":
+        print(json.dumps({"value": str(value), "order": eta_order(value, modulus),
                           "modulus": str(modulus),
                           "order_mod_z": eta_order(value, Modulus.Z),
                           "order_mod_2z": eta_order(value, Modulus.TWO_Z)}))
     else:
-        print(f"{value} (order {order} mod {modulus})")
+        print(EtaValue(value, modulus))
 
 
 def _cmd_eta(args, cfg: Config) -> int:
-    if args.engine in ("cyclic", "bundle"):
+    if args.engine == "quaternion":
+        rho = parse_character(character_table("q8"), args.rho)
+        spec = ManifoldSpec(quaternion_k=args.k)
+    else:
         if args.l > cfg.root_order_cap:
             raise ValidationError(f"root order {args.l} exceeds the cap "
                                   f"{cfg.root_order_cap}")
-        table = character_table(f"c{args.l}")
-        rho = parse_character(table, args.rho)
-        if args.engine == "cyclic":
-            spec = LensSpec(args.l, _parse_int_tuple(args.a))
-            value = eta_lens_cyclic(spec, rho)
-            fval = eta_lens_cyclic_float(spec, rho)
-        else:
-            chern = _parse_int_tuple(args.chern) if args.chern else None
-            spec = LensSpec(args.l, _parse_int_tuple(args.a), kind="bundle",
-                            chern=chern)
-            value = eta_lens_bundle(spec, rho)
-            fval = eta_lens_bundle_float(spec, rho)
-    else:
-        table = character_table("q8")
-        rho = parse_character(table, args.rho)
-        rep = quaternion_free_rep(args.k)
-        spec = ManifoldSpec(quaternion_k=args.k)
-        value = eta_donnelly(rep, rho)
-        fval = eta_donnelly_float(rep, rho)
+        rho = parse_character(character_table(f"c{args.l}"), args.rho)
+        kind = "bundle" if args.engine == "bundle" else "sphere"
+        # `eta cyclic` ignores --chern: sphere-kind specs carry no chern data
+        chern = _parse_int_tuple(args.chern) if kind == "bundle" and args.chern else None
+        spec = ManifoldSpec(lens=LensSpec(args.l, _parse_int_tuple(args.a), kind, chern))
+    value, float_value = eta_of(spec, rho), eta_of_float(spec, rho)
     if args.mod == "z":
         modulus = Modulus.Z
     elif args.mod == "2z":
         modulus = Modulus.TWO_Z
     else:
         modulus = thm31_modulus(spec.dimension, rho)
-    _emit_eta(value, modulus, args, fval)
+    _emit_eta(value, modulus, args, float_value)
     return 0
 
 

@@ -130,19 +130,6 @@ class ManifoldSpec:
         return base + 8 * self.bott_power
 
 
-@dataclass(frozen=True)
-class EtaVector:
-    entries: tuple[EtaValue, ...]
-    labels: tuple[VirtualCharacter, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.labels):
-            raise ValueError("entries and labels must have equal length")
-
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(e.value for e in self.entries)
-
-
 # -- the Donnelly sum ---------------------------------------------------------
 
 
@@ -185,30 +172,12 @@ def eta_donnelly_float(tau: FreeUnitaryRep, rho: VirtualCharacter) -> float:
     return (total / tau.group.order).real
 
 
-def _check_lens_character(spec: LensSpec, rho: VirtualCharacter) -> None:
-    if rho.group is not spec.group:
-        raise ValueError(f"character must live on C_{spec.l}")
-    if rho.dim != 0:
-        raise ValueError("lens-space eta requires a virtual dimension zero character")
-
-
 def eta_lens_cyclic(spec: LensSpec, rho: VirtualCharacter) -> Fraction:
     """l^-1 sum over 1 != lambda in C_l of
     lambda^(sum(a)/2) * prod (1-lambda^a_j)^-1 * Tr(rho(lambda))."""
     if spec.kind != "sphere":
         raise ValueError("eta_lens_cyclic expects a sphere-kind spec")
-    _check_lens_character(spec, rho)
-    l, half = spec.l, sum(spec.a) // 2
-    total = CyclotomicNumber.from_rational(0)
-    for k in range(1, l):
-        f = root_of_unity(l, k * half)
-        for aj in spec.a:
-            f = f / (1 - root_of_unity(l, k * aj))
-        total = total + f * rho.value_at(k)
-    r = (total * Fraction(1, l)).as_rational()
-    if r is None:
-        raise NonRationalSumError("lens sum did not reduce to a rational")
-    return r
+    return _lens_sum(spec, rho)
 
 
 def eta_lens_bundle(spec: LensSpec, rho: VirtualCharacter) -> Fraction:
@@ -216,22 +185,32 @@ def eta_lens_bundle(spec: LensSpec, rho: VirtualCharacter) -> Fraction:
     sum_j (1/2) c_j (1+lambda^a_j) / (1-lambda^a_j)."""
     if spec.kind != "bundle":
         raise ValueError("eta_lens_bundle expects a bundle-kind spec")
-    _check_lens_character(spec, rho)
+    return _lens_sum(spec, rho)
+
+
+def _lens_sum(spec: LensSpec, rho: VirtualCharacter) -> Fraction:
+    if rho.group is not spec.group:
+        raise ValueError(f"character must live on C_{spec.l}")
+    if rho.dim != 0:
+        raise ValueError("lens-space eta requires a virtual dimension zero character")
     l, half = spec.l, sum(spec.a) // 2
     total = CyclotomicNumber.from_rational(0)
     for k in range(1, l):
         f = root_of_unity(l, k * half)
         for aj in spec.a:
             f = f / (1 - root_of_unity(l, k * aj))
-        factor = CyclotomicNumber.from_rational(0)
-        for aj, cj in zip(spec.a, spec.chern):
-            if cj:
-                lam = root_of_unity(l, k * aj)
-                factor = factor + Fraction(cj, 2) * (1 + lam) / (1 - lam)
-        total = total + f * factor * rho.value_at(k)
+        if spec.kind == "bundle":
+            factor = CyclotomicNumber.from_rational(0)
+            for aj, cj in zip(spec.a, spec.chern):
+                if cj:
+                    lam = root_of_unity(l, k * aj)
+                    factor = factor + Fraction(cj, 2) * (1 + lam) / (1 - lam)
+            f = f * factor
+        total = total + f * rho.value_at(k)
     r = (total * Fraction(1, l)).as_rational()
     if r is None:
-        raise NonRationalSumError("lens bundle sum did not reduce to a rational")
+        what = "lens bundle sum" if spec.kind == "bundle" else "lens sum"
+        raise NonRationalSumError(f"{what} did not reduce to a rational")
     return r
 
 
@@ -251,14 +230,6 @@ def _lens_float(spec: LensSpec, rho: VirtualCharacter) -> float:
         trace = sum(c * lam ** j for j, c in enumerate(rho.coeffs))
         total += f * trace
     return (total / l).real
-
-
-def eta_lens_cyclic_float(spec: LensSpec, rho: VirtualCharacter) -> float:
-    return _lens_float(spec, rho)
-
-
-def eta_lens_bundle_float(spec: LensSpec, rho: VirtualCharacter) -> float:
-    return _lens_float(spec, rho)
 
 
 # -- manifolds against ambient characters -------------------------------------
@@ -305,22 +276,6 @@ def thm31_modulus(dimension: int, rho: VirtualCharacter) -> Modulus:
     if dimension % 8 == 7 and is_quaternion_type(rho):
         return Modulus.TWO_Z
     return Modulus.Z
-
-
-def eta_vector(manifold: ManifoldSpec, rhos: Sequence[VirtualCharacter],
-               moduli: Optional[Sequence[Modulus]] = None) -> EtaVector:
-    """Evaluate a tuple of ambient characters on one manifold.
-
-    When `moduli` is omitted each entry gets the refined modulus allowed by
-    the dimension and the ambient character's reality type (the range of
-    the eta homomorphism is decided before restricting)."""
-    entries = []
-    for j, rho in enumerate(rhos):
-        value = eta_of(manifold, rho)
-        modulus = (moduli[j] if moduli is not None
-                   else thm31_modulus(manifold.dimension, rho))
-        entries.append(EtaValue(value, modulus))
-    return EtaVector(tuple(entries), tuple(rhos))
 
 
 # -- order certificates --------------------------------------------------------

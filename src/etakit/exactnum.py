@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-Rational = Fraction
-
 _CoeffLike = Union[int, Fraction]
 
 

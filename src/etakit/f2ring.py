@@ -15,8 +15,9 @@ dimension oracle that shares no code with the rewriting path.
 from __future__ import annotations
 
 import itertools
-import re
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+from .infix import parse_infix
 
 Monomial = tuple[int, ...]
 
@@ -127,6 +128,9 @@ class F2AlgebraElement:
 
     __sub__ = __add__  # characteristic 2
 
+    def __neg__(self) -> "F2AlgebraElement":
+        return self
+
     def __mul__(self, other: "F2AlgebraElement") -> "F2AlgebraElement":
         self._check(other)
         alg = self.algebra
@@ -194,17 +198,20 @@ class PresentedF2Algebra:
             self._prec = tuple(self._gen_index[n] for n in precedence)
         self.one = F2AlgebraElement(self, frozenset({(0,) * len(self.gen_names)}))
         self.zero = F2AlgebraElement(self, frozenset())
+        # with no rules yet, parsing yields raw free-algebra polynomials
+        self._rules: list[tuple[Monomial, frozenset]] = []
+        self._truncated = False
         self.raw_relations = tuple(self._coerce_relation(r) for r in relations)
         for r in self.raw_relations:
             degs = {self.monomial_degree(m) for m in r}
             if len(degs) != 1:
                 raise ValueError(f"relation {sorted(r)} is not homogeneous")
+        top_mon = None if poincare is None else self._single_monomial(poincare[1])
         self._complete_rewriting_system()
         self._basis_cache: dict[int, list[Monomial]] = {}
         self.poincare: Optional[tuple[int, Monomial]] = None
         if poincare is not None:
-            dim, top = poincare
-            top_mon = self._single_monomial(top)
+            dim = poincare[0]
             basis = self.graded_basis(dim)
             if basis != [top_mon]:
                 raise ValueError(f"degree {dim} is not spanned by the designated "
@@ -215,12 +222,12 @@ class PresentedF2Algebra:
 
     def _coerce_relation(self, rel) -> frozenset:
         if isinstance(rel, str):
-            return frozenset(_parse_raw(self, rel))
+            return self.parse(rel).monomials
         return frozenset(tuple(m) for m in rel)
 
     def _single_monomial(self, spec: Union[str, Monomial]) -> Monomial:
         if isinstance(spec, str):
-            mons = _parse_raw(self, spec)
+            mons = self.parse(spec).monomials
             if len(mons) != 1:
                 raise ValueError(f"{spec!r} is not a single monomial")
             return next(iter(mons))
@@ -240,8 +247,6 @@ class PresentedF2Algebra:
         gives exact normal forms in every degree up to the bound."""
         import heapq
 
-        self._rules: list[tuple[Monomial, frozenset]] = []
-        self._truncated = False
         tick = itertools.count()
         heap: list = []
         for r in self.raw_relations:
@@ -327,7 +332,14 @@ class PresentedF2Algebra:
         return F2AlgebraElement(self, out)
 
     def parse(self, text: str) -> F2AlgebraElement:
-        return _F2Parser(self, text).parse()
+        def atom(kind: str, value: str, pos: int) -> F2AlgebraElement:
+            if kind == "int":
+                return self.one if int(value) % 2 else self.zero
+            if value not in self._gen_index:
+                raise F2ParseError(f"unknown generator {value!r}", text, pos)
+            return self.gen(value)
+
+        return parse_infix(text, atom, lambda msg, pos: F2ParseError(msg, text, pos))
 
     def gen(self, name: str) -> F2AlgebraElement:
         i = self._gen_index[name]
@@ -424,177 +436,6 @@ class PresentedF2Algebra:
         return f"PresentedF2Algebra({self.name}; {gens}; {len(self.raw_relations)} relations)"
 
 
-# -- parser ---------------------------------------------------------------------
-
-
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^()]))")
-
-
-class _F2Parser:
-    def __init__(self, algebra: PresentedF2Algebra, text: str):
-        self.algebra = algebra
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                if text[pos:].strip():
-                    raise F2ParseError(f"unexpected character {text[pos]!r}", text, pos)
-                break
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.i = 0
-
-    def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else ("end", "", len(self.text))
-
-    def _next(self):
-        tok = self._peek()
-        self.i += 1
-        return tok
-
-    def parse(self) -> F2AlgebraElement:
-        e = self._expr()
-        kind, val, pos = self._peek()
-        if kind != "end":
-            raise F2ParseError(f"unexpected token {val!r}", self.text, pos)
-        return e
-
-    def _expr(self) -> F2AlgebraElement:
-        # leading sign is harmless over F2
-        if self._peek()[0] == "op" and self._peek()[1] in "+-":
-            self._next()
-        e = self._term()
-        while self._peek()[0] == "op" and self._peek()[1] in "+-":
-            self._next()
-            e = e + self._term()
-        return e
-
-    def _term(self) -> F2AlgebraElement:
-        e = self._factor()
-        while self._peek()[0] == "op" and self._peek()[1] == "*":
-            self._next()
-            e = e * self._factor()
-        return e
-
-    def _factor(self) -> F2AlgebraElement:
-        e = self._atom()
-        if self._peek()[0] == "op" and self._peek()[1] == "^":
-            self._next()
-            kind, val, pos = self._next()
-            if kind != "int":
-                raise F2ParseError("exponent must be an integer", self.text, pos)
-            e = e ** int(val)
-        return e
-
-    def _atom(self) -> F2AlgebraElement:
-        kind, val, pos = self._next()
-        if kind == "name":
-            if val not in self.algebra._gen_index:
-                raise F2ParseError(f"unknown generator {val!r}", self.text, pos)
-            return self.algebra.gen(val)
-        if kind == "int":
-            return self.algebra.one if int(val) % 2 else self.algebra.zero
-        if kind == "op" and val == "(":
-            e = self._expr()
-            kind, val, pos = self._next()
-            if val != ")":
-                raise F2ParseError("expected ')'", self.text, pos)
-            return e
-        raise F2ParseError(f"unexpected token {val!r}", self.text, pos)
-
-
-def _parse_raw(algebra: PresentedF2Algebra, text: str) -> set[Monomial]:
-    """Parse without reduction: raw monomial set in the free algebra (used
-    for relations, before the rewriting system exists)."""
-    r = len(algebra.gen_names)
-    unit = (0,) * r
-
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip():
-                raise F2ParseError(f"unexpected character {text[pos]!r}", text, pos)
-            break
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else ("end", "", len(text))
-
-    def nxt():
-        nonlocal i
-        tok = peek()
-        i += 1
-        return tok
-
-    def mon_mul(a: set, b: set) -> set:
-        out: dict[Monomial, int] = {}
-        for m1 in a:
-            for m2 in b:
-                raw = tuple(x + y for x, y in zip(m1, m2))
-                out[raw] = out.get(raw, 0) ^ 1
-        return {m for m, p in out.items() if p}
-
-    def atom() -> set:
-        kind, val, p = nxt()
-        if kind == "name":
-            if val not in algebra._gen_index:
-                raise F2ParseError(f"unknown generator {val!r}", text, p)
-            gi = algebra._gen_index[val]
-            return {tuple(1 if j == gi else 0 for j in range(r))}
-        if kind == "int":
-            return {unit} if int(val) % 2 else set()
-        if kind == "op" and val == "(":
-            e = expr()
-            kind, val, p = nxt()
-            if val != ")":
-                raise F2ParseError("expected ')'", text, p)
-            return e
-        raise F2ParseError(f"unexpected token {val!r}", text, p)
-
-    def factor() -> set:
-        e = atom()
-        if peek()[0] == "op" and peek()[1] == "^":
-            nxt()
-            kind, val, p = nxt()
-            if kind != "int":
-                raise F2ParseError("exponent must be an integer", text, p)
-            out = {unit}
-            for _ in range(int(val)):
-                out = mon_mul(out, e)
-            return out
-        return e
-
-    def term() -> set:
-        e = factor()
-        while peek()[0] == "op" and peek()[1] == "*":
-            nxt()
-            e = mon_mul(e, factor())
-        return e
-
-    def expr() -> set:
-        if peek()[0] == "op" and peek()[1] in "+-":
-            nxt()
-        e = term()
-        while peek()[0] == "op" and peek()[1] in "+-":
-            nxt()
-            e = e ^ term()
-        return e
-
-    out = expr()
-    kind, val, p = peek()
-    if kind != "end":
-        raise F2ParseError(f"unexpected token {val!r}", text, p)
-    return out
-
-
 # -- graded homomorphisms ---------------------------------------------------------
 
 
@@ -650,10 +491,6 @@ class GradedHom:
 
     def __repr__(self) -> str:
         return f"GradedHom({self.name})"
-
-
-def hom_apply(f: GradedHom, e: F2AlgebraElement) -> F2AlgebraElement:
-    return f(e)
 
 
 def dual_pushforward(f: GradedHom, n: int) -> list[list[int]]:
@@ -775,10 +612,6 @@ class SteenrodData:
         if deg is None:
             return {}
         return {i: self.sq(i, e) for i in range(deg + 1)}
-
-
-def steenrod_sq(data: SteenrodData, i: int, e) -> F2AlgebraElement:
-    return data.sq(i, e)
 
 
 # -- Wu and Stiefel-Whitney classes ---------------------------------------------------

@@ -478,7 +478,7 @@ def verify_prop41(n: int) -> list[ClaimResult]:
                      False, to_lens(w_nonspin[1]).is_zero()))
     w_spin = stiefel_whitney(m_alg, spin_data)
     out.append(claim(f"{tag}.spin_w", "the branch Sq^1 Z = Zs gives w1 = w2 = 0",
-                     ("0", "0"), (str(w_spin[1]), str(w_spin[2])))),
+                     ("0", "0"), (str(w_spin[1]), str(w_spin[2]))))
     out.append(claim(f"{tag}.branch_filter", "requiring w1 = 0 selects the spin branch",
                      "(s*Z)",
                      "(" + ", ".join(str(b) for b in
@@ -657,10 +657,10 @@ def verify_kerap_table() -> list[ClaimResult]:
            claim("kerap.n2", "rows below 3 vanish", ((), 0), kerap_lookup(2)),
            claim("kerap.n20", "dim 20 = 8k+4 with k=2 has rank 3",
                  3, kerap_lookup(20)[1])]
-    for m, expected in [(0, 2 ** 8), (1, 2 ** 21), (2, 2 ** 34), (3, 2 ** 47)]:
+    for m in range(4):
         out.append(claim(f"kerap.ko{8 * m + 3}", "derived |ko_(8m+3)| = 2^(8+13m)",
                          2 ** (8 + 13 * m), table_ko_order(8 * m + 3)))
-    for m, expected in [(0, 2 ** 12), (1, 2 ** 25), (2, 2 ** 38), (3, 2 ** 51)]:
+    for m in range(4):
         out.append(claim(f"kerap.ko{8 * m + 7}", "derived |ko_(8m+7)| = 2^(12+13m)",
                          2 ** (12 + 13 * m), table_ko_order(8 * m + 7)))
     return out

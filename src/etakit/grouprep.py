@@ -501,10 +501,6 @@ def character_table(tag_or_group) -> CharacterTable:
     raise UnsupportedGroupError(f"no builtin character table for {tag!r}")
 
 
-def virtual_dimension(chi: VirtualCharacter) -> int:
-    return chi.dim
-
-
 def frobenius_schur(chi: VirtualCharacter) -> int:
     """Frobenius-Schur indicator (1/|G|) sum chi(g^2); requires chi irreducible."""
     table = chi.table

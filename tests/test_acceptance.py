@@ -7,11 +7,9 @@ failure is the corresponding fail line.
 import random
 from fractions import Fraction
 
-from etakit.eta import (LensSpec, Modulus, eta_donnelly,
-                        eta_donnelly_float, eta_lens_bundle,
-                        eta_lens_bundle_float, eta_lens_cyclic,
-                        eta_lens_cyclic_float, eta_order,
-                        span_order_lower_bound)
+from etakit.eta import (LensSpec, ManifoldSpec, Modulus, eta_donnelly,
+                        eta_donnelly_float, eta_lens_bundle, eta_lens_cyclic,
+                        eta_of_float, eta_order, span_order_lower_bound)
 from etakit.f2ring import (F2AlgebraElement, dihedral_cohomology,
                            dual_pushforward, klein_cohomology,
                            semidihedral_cohomology, sd_to_d8_restriction,
@@ -124,7 +122,7 @@ def test_criterion_6_float_oracle():
     ]
     for spec, chi in lens_cases:
         assert abs(float(eta_lens_cyclic(spec, chi))
-                   - eta_lens_cyclic_float(spec, chi)) < 1e-9
+                   - eta_of_float(ManifoldSpec(lens=spec), chi)) < 1e-9
         checked += 1
     bundle_cases = [
         (LensSpec(8, (1, 1), kind="bundle"), _c8(0) - _c8(1)),
@@ -134,7 +132,7 @@ def test_criterion_6_float_oracle():
     ]
     for spec, chi in bundle_cases:
         assert abs(float(eta_lens_bundle(spec, chi))
-                   - eta_lens_bundle_float(spec, chi)) < 1e-9
+                   - eta_of_float(ManifoldSpec(lens=spec), chi)) < 1e-9
         checked += 1
     _passed(6, f"double-precision oracle within 1e-9 on {checked} exact values")
 

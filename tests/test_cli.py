@@ -1,6 +1,8 @@
 """Command-line behaviour: documented outputs, determinism, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +10,22 @@ from etakit.cli import ParseError, load_config, main, parse_character
 from etakit.grouprep import character_table
 
 
+GOLDEN = Path(__file__).parent / "golden"
+VERIFY_JSON = "verify --suite all --format json"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples():
+    """The commands of the README "Command line" block, without `etakit`."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.join(shlex.split(line, comments=True)[1:])
+            for line in block.strip().splitlines()]
 
 
 class TestDocumentedCommands:
@@ -28,12 +42,15 @@ class TestDocumentedCommands:
         assert out == "y^3*u*P\n"
 
     def test_verify_json(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "all",
-                               "--format", "json")
+        code, out, _ = run_cli(capsys, *VERIFY_JSON.split())
         assert code == 0
-        data = json.loads(out)
-        assert len(data) >= 40
-        assert all(entry["status"] == "pass" for entry in data)
+        assert out == (GOLDEN / "verify_all.json").read_text(encoding="utf-8")
+
+    # the JSON report is compared byte for byte by test_verify_json
+    @pytest.mark.parametrize("command", [c for c in readme_examples() if c != VERIFY_JSON])
+    def test_readme_example(self, capsys, command):
+        golden = json.loads((GOLDEN / "readme_examples.json").read_text(encoding="utf-8"))
+        assert run_cli(capsys, *shlex.split(command))[:2] == (0, golden[command])
 
     def test_determinism(self, capsys):
         outputs = set()
@@ -60,6 +77,11 @@ class TestEtaCommand:
         _, out, _ = run_cli(capsys, "eta", "bundle", "--l", "8", "--a", "1,1",
                             "--rho", "r0-r1")
         assert out == "-7/8 (order 8 mod Z)\n"
+
+    def test_cyclic_ignores_chern(self, capsys):
+        _, out, _ = run_cli(capsys, "eta", "cyclic", "--l", "8", "--a", "1,1",
+                            "--chern", "2,0", "--rho", "r0-r4")
+        assert out == "-1 (order 2 mod 2Z)\n"
 
     def test_float_oracle_mode(self, capsys):
         _, out, _ = run_cli(capsys, "eta", "bundle", "--l", "8", "--a", "1,1",
@@ -90,6 +112,12 @@ class TestEtaCommand:
         with pytest.raises(ParseError):
             parse_character(t, "2 - zeta")
 
+    def test_bad_character_position_skips_whitespace(self, capsys):
+        code, _, err = run_cli(capsys, "eta", "quaternion", "--k", "1",
+                               "--rho", "2 $ tau")
+        assert code == 1
+        assert err == "ParseError: unexpected character '$' at position 2\n"
+
 
 class TestOtherCommands:
     def test_order(self, capsys):
@@ -110,6 +138,17 @@ class TestOtherCommands:
                             "--subgroup", "c8", "--images", "g=s",
                             "--chi", "rho")
         assert out == "r1 + r3\n"
+
+    def test_bad_generator_position_skips_whitespace(self, capsys):
+        code, _, err = run_cli(capsys, "nf", "--algebra", "sd", "--expr", "x +\t$")
+        assert code == 1
+        assert err == "F2ParseError: unexpected character '$' (line 1, column 5)\n"
+
+    def test_chained_power_is_left_associative(self, capsys):
+        assert run_cli(capsys, "nf", "--algebra", "sd", "--expr", "y^2^3")[:2] == \
+            run_cli(capsys, "nf", "--algebra", "sd", "--expr", "(y^2)^3")[:2] == \
+            (0, "y^6\n")
+        assert run_cli(capsys, "nf", "--algebra", "sd", "--expr", "x^2^3")[:2] == (0, "0\n")
 
     def test_basis(self, capsys):
         _, out, _ = run_cli(capsys, "basis", "--algebra", "d8", "--degree", "3")

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from etakit.eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
                         eta_donnelly, eta_donnelly_float, eta_lens_bundle,
-                        eta_lens_cyclic, eta_lens_cyclic_float, eta_of,
-                        eta_order, eta_vector, rational_determinant,
-                        recursion_check, span_order_lower_bound, thm31_modulus)
+                        eta_lens_cyclic, eta_of, eta_of_float, eta_order,
+                        rational_determinant, recursion_check,
+                        span_order_lower_bound, thm31_modulus)
 from etakit.grouprep import (InclusionMap, NotFreeError, OddLengthError,
                              builtin_group, character_table, cyclic_free_rep,
                              quaternion_free_rep, restrict_virtual)
@@ -67,7 +67,8 @@ class TestLensValues:
         spec = LensSpec(8, (1,) * 6)
         value = eta_lens_cyclic(spec, c8_char(0, 1))
         assert value == Fraction(-105, 256)
-        assert abs(float(value) - eta_lens_cyclic_float(spec, c8_char(0, 1))) < 1e-9
+        assert abs(float(value)
+                   - eta_of_float(ManifoldSpec(lens=spec), c8_char(0, 1))) < 1e-9
 
     def test_bundle_values(self):
         b5 = LensSpec(8, (1, 1), kind="bundle")
@@ -169,7 +170,7 @@ class TestFloatOracle:
         spec = LensSpec(8, tuple(a))
         chi = c8_char(0, j)
         assert abs(float(eta_lens_cyclic(spec, chi))
-                   - eta_lens_cyclic_float(spec, chi)) < 1e-9
+                   - eta_of_float(ManifoldSpec(lens=spec), chi)) < 1e-9
 
     @pytest.mark.parametrize("k,p", [(k, p) for k in range(3) for p in (1, 2, 3)])
     def test_quaternion(self, k, p):
@@ -271,15 +272,13 @@ class TestManifoldsAndVectors:
 
     def test_vector_on_trivial_characters(self):
         t = character_table("q8")
-        zero = t.constant(0)
-        vec = eta_vector(ManifoldSpec(quaternion_k=1), [zero, zero])
-        assert all(e.value == 0 for e in vec.entries)
+        assert eta_of(ManifoldSpec(quaternion_k=1), t.constant(0)) == 0
 
     def test_quadruple_moduli(self):
         # dimension 3 mod 8: real columns upgrade to R/2Z, quaternion stay
         t = character_table("q8")
         tau = t.irreducible("tau")
         rhos = [t.irreducible("r0") - t.irreducible("k1"), 2 - tau, (2 - tau) ** 2]
-        vec = eta_vector(ManifoldSpec(quaternion_k=0), rhos)
-        assert [e.modulus for e in vec.entries] == \
+        dimension = ManifoldSpec(quaternion_k=0).dimension
+        assert [thm31_modulus(dimension, rho) for rho in rhos] == \
             [Modulus.TWO_Z, Modulus.Z, Modulus.TWO_Z]

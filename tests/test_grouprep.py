@@ -13,8 +13,7 @@ from etakit.grouprep import (InclusionMap, NotASubgroupMapError, NotFreeError,
                              cyclic_free_rep, find_embeddings, frobenius_schur,
                              inclusion_from_json, is_quaternion_type,
                              is_real_type, quaternion_free_rep,
-                             restrict_virtual, table_from_json,
-                             virtual_dimension)
+                             restrict_virtual, table_from_json)
 
 
 class TestBuiltinGroups:
@@ -76,9 +75,9 @@ class TestVirtualCharacters:
     def test_dimensions(self):
         t = character_table("q8")
         tau = t.irreducible("tau")
-        assert virtual_dimension(2 - tau) == 0
-        assert virtual_dimension(t.irreducible("r0") - t.irreducible("k1")) == 0
-        assert virtual_dimension(tau) == 2
+        assert (2 - tau).dim == 0
+        assert (t.irreducible("r0") - t.irreducible("k1")).dim == 0
+        assert tau.dim == 2
 
     def test_square_of_two_minus_tau(self):
         t = character_table("q8")
