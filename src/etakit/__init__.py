@@ -2,8 +2,8 @@
 2-groups, mod-2 graded cohomology computations, and a verification harness
 for the associated positive-scalar-curvature order accounting."""
 
-from .exactnum import (CyclotomicNumber, cyclotomic_polynomial, euler_phi,
-                       parse_cyclotomic, root_of_unity)
+from .exactnum import (CyclotomicNumber, InvariantError, cyclotomic_polynomial,
+                       euler_phi, parse_cyclotomic, root_of_unity)
 from .grouprep import (CharacterTable, FiniteGroup, FreeUnitaryRep,
                        InclusionMap, NotASubgroupMapError, NotFreeError,
                        NotIrreducibleError, OddLengthError,

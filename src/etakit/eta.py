@@ -83,6 +83,9 @@ class LensSpec:
             raise OddLengthError("weight tuple must have even length")
         if any(x % 2 == 0 for x in self.a):
             raise NotFreeError("every weight must be odd for a free action")
+        if any(math.gcd(x, self.l) != 1 for x in self.a):
+            raise NotFreeError(f"every weight must be coprime to l = {self.l} "
+                               f"for a free action")
         if self.kind == "bundle":
             chern = self.chern if self.chern is not None else (2,) + (0,) * (len(self.a) - 1)
             object.__setattr__(self, "chern", tuple(int(c) for c in chern))

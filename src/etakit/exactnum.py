@@ -1,9 +1,18 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are kept in the power basis 1, z, ..., z^(phi(n)-1) of
-Q[z]/Phi_n(z), with Fraction coefficients.  Normal forms are unique, so
-equality, rationality tests and serialization are all exact.  Everything
-is immutable and safe to share between threads.
+An element is kept in the power basis 1, z, ..., z^(phi(n)-1) of
+Q[z]/Phi_n(z) as a tuple of integer numerators over one positive common
+denominator, with gcd(den, *num) = 1.  That normal form is unique, so
+equality, rationality tests and serialization are all exact.
+
+A product is an integer convolution followed by one reduction by the
+monic integer Phi_n, which walks the nonzero low terms of Phi_n; for
+n = 2^k that is the single term of x^(n/2) + 1 (negacyclic folding).
+Inverses descend the tower Q(zeta_n) > Q(zeta_(n/2)) while 4 | n: the
+norm x * x(-zeta) has only even powers of zeta, so it lies in the smaller
+field.  When 4 does not divide n, the extended Euclidean algorithm over
+Q[x] is the base case.  Everything is immutable and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -15,6 +24,10 @@ from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 _CoeffLike = Union[int, Fraction]
+
+
+class InvariantError(ArithmeticError):
+    """An invariant of exact cyclotomic arithmetic failed to hold."""
 
 
 def euler_phi(n: int) -> int:
@@ -32,6 +45,9 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+# -- Fraction polynomials: Phi_n itself and the xgcd base case ---------------
 
 
 def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
@@ -89,8 +105,58 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     for d in range(1, n):
         if n % d == 0:
             num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem, "x^n - 1 must be divisible by Phi_d"
+            if rem:
+                raise InvariantError(f"x^{n} - 1 is not divisible by Phi_{d}")
     return tuple(num)
+
+
+# -- the integer kernel ------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _field(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n) and the nonzero (i, c_i), i < phi(n), of the monic Phi_n."""
+    phi_n = cyclotomic_polynomial(n)
+    return len(phi_n) - 1, tuple((i, int(c)) for i, c in enumerate(phi_n[:-1]) if c)
+
+
+def _reduce(poly: list[int], n: int) -> tuple[int, ...]:
+    """Integer polynomial (constant term first) mod Phi_n, as phi(n) ints.
+    z^phi = -sum c_i z^i, folded in from the top degree down."""
+    phi, tail = _field(n)
+    for k in range(len(poly) - 1, phi - 1, -1):
+        t = poly[k]
+        if t:
+            base = k - phi
+            for i, c in tail:
+                poly[base + i] -= c * t
+    if len(poly) < phi:
+        poly += [0] * (phi - len(poly))
+    return tuple(poly[:phi])
+
+
+def _make(order: int, num: tuple[int, ...], den: int) -> "CyclotomicNumber":
+    """Wrap parts that are already in normal form."""
+    x = object.__new__(CyclotomicNumber)
+    x._n = order
+    x._num = num
+    x._den = den
+    return x
+
+
+def _normal(order: int, num: list[int], den: int) -> "CyclotomicNumber":
+    """Wrap phi(order) integer numerators over a positive denominator,
+    dividing out their common content."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        den //= g
+        num = [c // g for c in num]
+    return _make(order, tuple(num), den)
+
+
+def _scale(x: "CyclotomicNumber", p: int, q: int) -> "CyclotomicNumber":
+    """x * p/q for integers p and q > 0."""
+    return _normal(x._n, [c * p for c in x._num], x._den * q)
 
 
 class CyclotomicNumber:
@@ -101,105 +167,142 @@ class CyclotomicNumber:
     arithmetic embeds both operands into Q(zeta_lcm) first.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("_n", "_num", "_den")
 
     def __init__(self, order: int, coeffs: Iterable[_CoeffLike]):
         if order < 1:
             raise ValueError("order must be >= 1")
-        phi = euler_phi(order)
-        cs = tuple(Fraction(c) for c in coeffs)
+        phi = _field(order)[0]
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) != phi:
             raise ValueError(f"expected {phi} coefficients for order {order}, got {len(cs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", cs)
+        # over the lcm of reduced denominators the numerators are coprime to it
+        den = math.lcm(*(c.denominator for c in cs))
+        self._n = order
+        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
 
-    def __setattr__(self, *args):
-        raise AttributeError("CyclotomicNumber is immutable")
+    @property
+    def order(self) -> int:
+        return self._n
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     # -- construction helpers -------------------------------------------
 
     @staticmethod
     def from_rational(value: _CoeffLike, order: int = 1) -> "CyclotomicNumber":
-        phi = euler_phi(order)
-        coeffs = [Fraction(value)] + [Fraction(0)] * (phi - 1)
-        return CyclotomicNumber(order, coeffs)
-
-    @staticmethod
-    def _from_poly(order: int, poly: list[Fraction]) -> "CyclotomicNumber":
-        phi_n = list(cyclotomic_polynomial(order))
-        _, rem = _poly_divmod(_poly_trim(list(poly)), phi_n)
-        phi = euler_phi(order)
-        rem = rem + [Fraction(0)] * (phi - len(rem))
-        return CyclotomicNumber(order, rem)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        num = (value.numerator,) + (0,) * (_field(order)[0] - 1)
+        return _make(order, num, value.denominator)
 
     # -- ring/field structure -------------------------------------------
 
     def _promote(self, other) -> tuple["CyclotomicNumber", "CyclotomicNumber"]:
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, self.order)
+            other = CyclotomicNumber.from_rational(other, self._n)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented, NotImplemented
-        if self.order == other.order:
+        if self._n == other._n:
             return self, other
-        m = math.lcm(self.order, other.order)
+        m = math.lcm(self._n, other._n)
         return self.embed(m), other.embed(m)
 
     def embed(self, order: int) -> "CyclotomicNumber":
         """Re-express in Q(zeta_order); requires self.order | order."""
-        if order == self.order:
+        n = self._n
+        if order == n:
             return self
-        if order % self.order != 0:
-            raise ValueError(f"cannot embed order {self.order} into {order}")
-        step = order // self.order
-        poly = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            poly[k * step] += c
-        return CyclotomicNumber._from_poly(order, poly)
+        if order % n != 0:
+            raise ValueError(f"cannot embed order {n} into {order}")
+        step = order // n
+        num = self._num
+        poly = [0] * ((len(num) - 1) * step + 1)
+        poly[::step] = num
+        # the power basis spans the ring of integers Z[zeta] in both fields,
+        # so the content of the numerators, and with it the normal form of
+        # the denominator, is unchanged
+        return _make(order, _reduce(poly, order), self._den)
 
     def __add__(self, other):
         a, b = self._promote(other)
         if a is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a._den, b._den
+        if da == db:
+            return _normal(a._n, [x + y for x, y in zip(a._num, b._num)], da)
+        g = math.gcd(da, db)
+        ma, mb = db // g, da // g
+        return _normal(a._n, [x * ma + y * mb for x, y in zip(a._num, b._num)], da * ma)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
+        return _make(self._n, tuple([-c for c in self._num]), self._den)
 
     def __sub__(self, other):
-        a, b = self._promote(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return CyclotomicNumber(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        if isinstance(other, (CyclotomicNumber, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _scale(self, other.numerator, other.denominator)
         a, b = self._promote(other)
         if a is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber._from_poly(a.order, _poly_mul(list(a.coeffs), list(b.coeffs)))
+        x, y = a._num, b._num
+        if not any(y[1:]):
+            return _scale(a, y[0], b._den)
+        if not any(x[1:]):
+            return _scale(b, x[0], a._den)
+        out = [0] * (2 * len(x) - 1)
+        for i, c in enumerate(x):
+            if c:
+                for j, d in enumerate(y, i):
+                    out[j] += c * d
+        return _normal(a._n, _reduce(out, a._n), a._den * b._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Inverse mod Phi_n via the extended Euclidean algorithm."""
-        if self.is_zero():
+        """Inverse through the norm to Q(zeta_(n/2)) while 4 | n, and by
+        the extended Euclidean algorithm mod Phi_n below that."""
+        num, den, n = self._num, self._den, self._n
+        if not any(num):
             raise ZeroDivisionError("division by zero in Q(zeta_n)")
-        phi_n = list(cyclotomic_polynomial(self.order))
-        # xgcd over Q[x]: s*self + t*Phi_n = gcd, a nonzero constant since
-        # Phi_n is irreducible over Q.
-        r0, r1 = phi_n, _poly_trim(list(self.coeffs))
+        if not any(num[1:]):
+            p = num[0]
+            return _make(n, (den if p > 0 else -den,) + num[1:], abs(p))
+        if n % 4 == 0:
+            # zeta -> -zeta is zeta -> zeta^(1 + n/2); Phi_n(x) = Phi_(n/2)(x^2)
+            conj = self.galois(1 + n // 2)
+            norm = self * conj
+            if any(norm._num[1::2]):
+                raise InvariantError("odd coefficients of the norm do not vanish")
+            inv = _make(n // 2, norm._num[0::2], norm._den).inverse()
+            up = [0] * len(num)
+            up[0::2] = inv._num
+            return conj * _make(n, tuple(up), inv._den)
+        # xgcd over Q[x]: s*N + t*Phi_n = gcd, a nonzero constant since
+        # Phi_n is irreducible over Q; then self^-1 = den * s / gcd.
+        r0, r1 = list(cyclotomic_polynomial(n)), _poly_trim([Fraction(c) for c in num])
         s0, s1 = [], [Fraction(1)]
         while r1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert len(r0) == 1, "element not invertible mod Phi_n"
-        inv = [c / r0[0] for c in s0]
-        return CyclotomicNumber._from_poly(self.order, inv)
+        if len(r0) != 1:
+            raise InvariantError("element not invertible mod Phi_n")
+        inv = [c * den / r0[0] for c in s0]
+        return CyclotomicNumber(n, inv + [0] * (len(num) - len(inv)))
 
     def __truediv__(self, other):
         a, b = self._promote(other)
@@ -213,7 +316,7 @@ class CyclotomicNumber:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CyclotomicNumber.from_rational(1, self.order)
+        result = CyclotomicNumber.from_rational(1, self._n)
         base = self
         e = exponent
         while e:
@@ -224,12 +327,10 @@ class CyclotomicNumber:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, 1)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
         a, b = self._promote(other)
-        return a.coeffs == b.coeffs
+        if a is NotImplemented:
+            return NotImplemented
+        return a._den == b._den and a._num == b._num
 
     __hash__ = None  # mixed-order equality makes a consistent hash awkward
 
@@ -237,28 +338,30 @@ class CyclotomicNumber:
 
     def galois(self, k: int) -> "CyclotomicNumber":
         """Apply zeta -> zeta^k; requires gcd(k, order) = 1."""
-        n = self.order
+        n = self._n
         if math.gcd(k, n) != 1:
             raise ValueError("galois exponent must be coprime to the order")
-        poly = [Fraction(0)] * n
-        for j, c in enumerate(self.coeffs):
-            poly[(j * k) % n] += c
-        return CyclotomicNumber._from_poly(n, poly)
+        poly = [0] * n
+        for j, c in enumerate(self._num):
+            poly[(j * k) % n] = c
+        # a field automorphism maps Z[zeta] onto itself, so it keeps the
+        # content of the numerators and the denominator stays normal
+        return _make(n, _reduce(poly, n), self._den)
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation zeta -> zeta^(-1)."""
-        return self.galois(self.order - 1) if self.order > 1 else self
+        return self.galois(self._n - 1) if self._n > 1 else self
 
     # -- predicates and conversions --------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def as_rational(self) -> Optional[Fraction]:
         """The constant coefficient if all other coefficients vanish, else None."""
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
+        if any(self._num[1:]):
+            return None
+        return Fraction(self._num[0], self._den)
 
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)
@@ -275,14 +378,19 @@ class CyclotomicNumber:
         return f"CyclotomicNumber({self.order}, {[str(c) for c in self.coeffs]})"
 
 
+@lru_cache(maxsize=None)
+def _root(n: int, k: int) -> CyclotomicNumber:
+    poly = [0] * (k + 1)
+    poly[k] = 1
+    return _make(n, _reduce(poly, n), 1)
+
+
 def root_of_unity(n: int, k: int) -> CyclotomicNumber:
-    """zeta_n^k in normal form; k is reduced mod n."""
+    """zeta_n^k in normal form; k is reduced mod n.  Values are cached per
+    (n, k mod n)."""
     if n < 1:
         raise ValueError("root order must be >= 1")
-    k %= n
-    poly = [Fraction(0)] * (k + 1)
-    poly[k] = Fraction(1)
-    return CyclotomicNumber._from_poly(n, poly)
+    return _root(n, k % n)
 
 
 def parse_cyclotomic(text: str) -> CyclotomicNumber:

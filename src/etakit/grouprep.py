@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence, Union
 
 from .exactnum import CyclotomicNumber, parse_cyclotomic, root_of_unity
@@ -340,6 +340,17 @@ class CharacterTable:
                 return j
         raise ValidationError("conjugate character missing from table")
 
+    @cached_property
+    def _reality(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The Frobenius-Schur indicator and the conjugate-partner index of
+        every irreducible, computed once per table."""
+        indicators = tuple(frobenius_schur(self.irreducible(name))
+                           for name in self.irreducible_names)
+        # a character with a nonzero indicator is real-valued: its own partner
+        partners = tuple(self.conjugate_partner(i) if fs == 0 else i
+                         for i, fs in enumerate(indicators))
+        return indicators, partners
+
 
 class VirtualCharacter:
     """Z-linear combination of the irreducibles of a fixed table."""
@@ -367,7 +378,9 @@ class VirtualCharacter:
     @property
     def dim(self) -> int:
         r = self.value_at(0).as_rational()
-        assert r is not None and r.denominator == 1
+        if r is None or r.denominator != 1:
+            raise ValidationError(f"virtual character {self} has dimension {r}, "
+                                  f"not an integer")
         return int(r)
 
     def _coerce(self, other) -> "VirtualCharacter":
@@ -512,7 +525,8 @@ def frobenius_schur(chi: VirtualCharacter) -> int:
     for a in range(g.order):
         total = total + chi.value_at(g.class_of[g.mul(a, a)])
     r = (total * Fraction(1, g.order)).as_rational()
-    assert r is not None and r.denominator == 1
+    if r is None or r.denominator != 1:
+        raise ValidationError(f"Frobenius-Schur indicator {r} is not an integer")
     return int(r)
 
 
@@ -531,13 +545,13 @@ def is_quaternion_type(chi: VirtualCharacter) -> bool:
 
 
 def _reality_check(chi: VirtualCharacter, quaternionic_side: bool) -> bool:
-    table = chi.table
+    indicators, partners = chi.table._reality
     for i, c in enumerate(chi.coeffs):
         if c == 0:
             continue
-        fs = frobenius_schur(table.irreducible(table.irreducible_names[i]))
+        fs = indicators[i]
         if fs == 0:
-            if chi.coeffs[table.conjugate_partner(i)] != c:
+            if chi.coeffs[partners[i]] != c:
                 return False
         elif fs == (1 if quaternionic_side else -1):
             if c % 2 != 0:

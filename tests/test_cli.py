@@ -1,7 +1,11 @@
 """Command-line behaviour: documented outputs, determinism, exit codes."""
 
+import ast
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +107,12 @@ class TestEtaCommand:
                                "--a", "2,1", "--rho", "r0-r4")
         assert code == 1
         assert "NotFreeError" in err
+
+    def test_weights_not_coprime_to_l(self, capsys):
+        code, out, err = run_cli(capsys, "eta", "cyclic", "--l", "6",
+                                 "--a", "3,3", "--rho", "r1-r0")
+        assert (code, out) == (1, "")
+        assert err == "NotFreeError: every weight must be coprime to l = 6 for a free action\n"
 
     def test_character_grammar(self):
         t = character_table("sd16")
@@ -261,3 +271,23 @@ class TestConfig:
                                "--algebra", "custom:proj", "--i", "1",
                                "--expr", "e")
         assert (code, out) == (0, "e^2\n")
+
+
+class TestOptimizedInterpreter:
+    """`python -O` strips `assert`; no invariant may rest on one."""
+
+    def test_no_assert_statements_in_package(self):
+        src = Path(__file__).parents[1] / "src" / "etakit"
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not asserts, f"{path.name}: assert at lines {asserts}"
+
+    def test_verify_under_optimize_flag(self):
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-m", "etakit.cli", *VERIFY_JSON.split()],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "verify_all.json").read_text(encoding="utf-8")

@@ -1,5 +1,6 @@
 """The Donnelly engine: displayed values, orders, symmetries, certificates."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -87,6 +88,10 @@ class TestLensValues:
     def test_weight_validation(self):
         with pytest.raises(NotFreeError):
             LensSpec(8, (2, 1))
+        with pytest.raises(NotFreeError):
+            LensSpec(6, (3, 3))
+        with pytest.raises(NotFreeError):
+            LensSpec(15, (1, 5), kind="bundle")
         with pytest.raises(OddLengthError):
             LensSpec(8, (1, 1, 5))
 
@@ -171,6 +176,26 @@ class TestFloatOracle:
         chi = c8_char(0, j)
         assert abs(float(eta_lens_cyclic(spec, chi))
                    - eta_of_float(ManifoldSpec(lens=spec), chi)) < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(l=st.sampled_from((12, 15, 24)), kind=st.sampled_from(("sphere", "bundle")),
+           data=st.data())
+    def test_composite_orders(self, l, kind, data):
+        # 12 and 24 invert down the norm tower to the xgcd base case at
+        # order 6; 15 is a base case itself
+        units = [u for u in range(1, l, 2) if math.gcd(u, l) == 1]
+        a = data.draw(st.lists(st.sampled_from(units), min_size=2, max_size=4)
+                      .filter(lambda v: len(v) % 2 == 0))
+        chern = None
+        if kind == "bundle":
+            chern = data.draw(st.lists(st.integers(-2, 2), min_size=len(a),
+                                       max_size=len(a)))
+        i, j = data.draw(st.lists(st.integers(0, l - 1), min_size=2, max_size=2,
+                                  unique=True))
+        t = character_table(f"c{l}")
+        chi = t.irreducible(f"r{i}") - t.irreducible(f"r{j}")
+        manifold = ManifoldSpec(lens=LensSpec(l, tuple(a), kind, chern))
+        assert abs(float(eta_of(manifold, chi)) - eta_of_float(manifold, chi)) < 1e-9
 
     @pytest.mark.parametrize("k,p", [(k, p) for k in range(3) for p in (1, 2, 3)])
     def test_quaternion(self, k, p):

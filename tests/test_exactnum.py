@@ -1,7 +1,9 @@
 """Field arithmetic in Q(zeta_n): examples and algebraic laws."""
 
 import cmath
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,3 +165,159 @@ def test_float_respects_arithmetic(a, b):
 @given(a=cyclotomic(8))
 def test_serialization_round_trip(a):
     assert parse_cyclotomic(str(a)) == a
+
+
+# -- differential test against the Fraction-coefficient kernel ---------------
+#
+# A test-only copy of the kernel that stored one Fraction per coefficient:
+# multiply, then long-divide by Phi_n; invert by the extended Euclidean
+# algorithm over Q[x].  The integer kernel must agree with it exactly.
+
+def _ref_trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+    return _ref_trim(out)
+
+
+def _ref_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _ref_trim(out)
+
+
+def _ref_divmod(num, den):
+    num = list(num)
+    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    lead = den[-1]
+    while len(num) >= len(den):
+        shift = len(num) - len(den)
+        factor = num[-1] / lead
+        quot[shift] = factor
+        for i, c in enumerate(den):
+            num[shift + i] -= factor * c
+        _ref_trim(num)
+    return _ref_trim(quot), num
+
+
+@lru_cache(maxsize=None)
+def _ref_phi_poly(n):
+    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            num, rem = _ref_divmod(num, _ref_phi_poly(d))
+            assert not rem
+    return tuple(num)
+
+
+def _ref_from_poly(n, poly):
+    _, rem = _ref_divmod(_ref_trim(list(poly)), _ref_phi_poly(n))
+    return tuple(rem + [Fraction(0)] * (euler_phi(n) - len(rem)))
+
+
+def _ref_embed(n, a, m):
+    step = m // n
+    poly = [Fraction(0)] * ((len(a) - 1) * step + 1)
+    for k, c in enumerate(a):
+        poly[k * step] += c
+    return _ref_from_poly(m, poly)
+
+
+def _ref_inverse(n, a):
+    r0, r1 = list(_ref_phi_poly(n)), _ref_trim(list(a))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _ref_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ref_sub(s0, _ref_mul(q, s1))
+    assert len(r0) == 1
+    return _ref_from_poly(n, [c / r0[0] for c in s0])
+
+
+def _ref_galois(n, a, k):
+    poly = [Fraction(0)] * n
+    for j, c in enumerate(a):
+        poly[(j * k) % n] += c
+    return _ref_from_poly(n, poly)
+
+
+def _ref_str(n, a):
+    terms = [f"{c}*z^{k}" for k, c in enumerate(a) if c != 0]
+    return f"{' + '.join(terms) if terms else '0'} @ n={n}"
+
+
+DIFF_ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 20, 24, 32, 64)
+
+
+@st.composite
+def operand_pair(draw):
+    """(n, a, d, b): a in Q(zeta_n), b in Q(zeta_d) with d | n, as Fraction
+    tuples; coefficients are sparse so high orders stay cheap."""
+    n = draw(st.sampled_from(DIFF_ORDERS))
+    d = draw(st.sampled_from([d for d in DIFF_ORDERS if n % d == 0]))
+
+    def element(order):
+        phi = euler_phi(order)
+        return tuple(draw(st.lists(st.one_of(st.just(Fraction(0)), small_rational),
+                                   min_size=phi, max_size=phi)))
+    return n, element(n), d, element(d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(operands=operand_pair(), data=st.data())
+def test_matches_fraction_kernel(operands, data):
+    n, a, d, b = operands
+    x, y = CyclotomicNumber(n, a), CyclotomicNumber(d, b)
+    b_n = _ref_embed(d, b, n)
+    assert x.coeffs == a and y.coeffs == b
+    assert str(x) == _ref_str(n, a)
+    assert y.embed(n).coeffs == b_n
+    expected = {
+        "+": tuple(p + q for p, q in zip(a, b_n)),
+        "-": tuple(p - q for p, q in zip(a, b_n)),
+        "*": _ref_from_poly(n, _ref_mul(list(a), list(b_n))),
+    }
+    got = {"+": x + y, "-": x - y, "*": x * y}
+    if any(b):
+        expected["/"] = _ref_from_poly(
+            n, _ref_mul(list(a), list(_ref_inverse(n, b_n))))
+        got["/"] = x / y
+    for op, want in expected.items():
+        assert got[op].coeffs == want, op
+        # the normal form is unique: equal values have equal representations
+        assert got[op] == CyclotomicNumber(n, want), op
+        assert str(got[op]) == _ref_str(n, want), op
+    if any(a):
+        inv = x.inverse()
+        assert inv.coeffs == _ref_inverse(n, a)
+        assert x * inv == 1
+    k = data.draw(st.sampled_from([k for k in range(1, n + 1) if math.gcd(k, n) == 1]))
+    assert x.galois(k).coeffs == _ref_galois(n, a, k)
+
+
+@pytest.mark.parametrize("n", [12, 20, 24, 64])
+def test_tower_inverse_of_roots_and_differences(n):
+    # 1 - zeta^k is a unit or a prime power element; both must invert exactly
+    for k in range(1, n):
+        x = 1 - root_of_unity(n, k)
+        assert x * x.inverse() == 1
+        assert x.inverse().coeffs == _ref_inverse(n, x.coeffs)
+
+
+def test_root_of_unity_is_cached_per_residue():
+    assert root_of_unity(16, 17) is root_of_unity(16, 1)
+    assert root_of_unity(16, -1) is root_of_unity(16, 15)

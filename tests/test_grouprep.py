@@ -2,11 +2,13 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from etakit.exactnum import root_of_unity
-from etakit.grouprep import (InclusionMap, NotASubgroupMapError, NotFreeError,
+from etakit import grouprep
+from etakit.grouprep import (CharacterTable, InclusionMap, NotASubgroupMapError, NotFreeError,
                              NotIrreducibleError, OddLengthError,
                              UnsupportedGroupError, ValidationError,
                              builtin_group, character_table,
@@ -91,6 +93,12 @@ class TestVirtualCharacters:
         t = character_table("sd16")
         assert t.irreducible("rho").conjugate() == t.irreducible("rho5")
 
+    def test_non_integral_dimension_is_a_typed_error(self):
+        t = CharacterTable(builtin_group("c2"), ["r0", "r1"],
+                           [[Fraction(1, 2), 1], [1, -1]], validate=False)
+        with pytest.raises(ValidationError, match="dimension 1/2"):
+            t.irreducible("r0").dim
+
 
 class TestFrobeniusSchur:
     def test_tau_is_quaternionic(self):
@@ -116,8 +124,30 @@ class TestFrobeniusSchur:
         with pytest.raises(NotIrreducibleError):
             frobenius_schur(2 - t.irreducible("tau"))
 
+    def test_non_integral_indicator_is_a_typed_error(self):
+        # <chi, chi> = ((7/5)^2 + (1/5)^2) / 2 = 1, indicator = 7/5
+        t = CharacterTable(builtin_group("c2"), ["x", "r1"],
+                           [[Fraction(7, 5), Fraction(1, 5)], [1, -1]], validate=False)
+        with pytest.raises(ValidationError, match="7/5"):
+            frobenius_schur(t.irreducible("x"))
+
 
 class TestRealityTypes:
+    def test_indicators_computed_once_per_table(self, monkeypatch):
+        q8 = character_table("q8")
+        t = CharacterTable(q8.group, q8.irreducible_names, q8.rows)
+        calls = []
+
+        def counted(chi):
+            calls.append(chi)
+            return frobenius_schur(chi)
+        monkeypatch.setattr(grouprep, "frobenius_schur", counted)
+        tau = t.irreducible("tau")
+        for chi in (2 - tau, (2 - tau) ** 2, t.irreducible("k1") - t.trivial()):
+            is_real_type(chi)
+            is_quaternion_type(chi)
+        assert len(calls) == len(t.rows)
+
     def test_two_minus_tau_family(self):
         t = character_table("q8")
         tau = t.irreducible("tau")
