@@ -1,8 +1,14 @@
-"""Exact eta invariants of lens spaces and lens-space bundles.
+"""Exact eta invariants of spherical space forms and lens-space bundles.
 
-The engine evaluates finite Donnelly-type sums over non-identity group
-elements in Q(zeta_n), asserts that the total is rational, and reduces
-values to orders in R/Z or R/2Z.  Bordism never appears: a manifold is
+One engine, `eta_donnelly`, evaluates every value: the Donnelly sum over
+the non-identity classes of a fixed-point-free representation, in
+Q(zeta_n).  A lens space is the case G = C_l with the representation
+`cyclic_free_rep` builds from its weights; a lens-space bundle over S^2
+adds the Chern numbers of its line bundles, which multiply each summand by
+the bundle factor.  A total that is not rational raises
+`NonRationalSumError`; values reduce to orders in R/Z or R/2Z.
+`eta_donnelly_float` and the weight-tuple formula behind `eta_of_float`
+are the double-precision mirrors.  Bordism never appears: a manifold is
 just the parameter data of its defining free action, and multiplying by
 the 8-dimensional Bott manifold is a dimension shift that keeps the value.
 """
@@ -17,8 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactnum import CyclotomicNumber, root_of_unity
-from .grouprep import (FiniteGroup, FreeUnitaryRep, InclusionMap, NotFreeError,
-                       OddLengthError, VirtualCharacter, builtin_group,
+from .grouprep import (FreeUnitaryRep, InclusionMap, VirtualCharacter,
                        character_table, cyclic_free_rep, is_quaternion_type,
                        is_real_type, quaternion_free_rep, restrict_virtual)
 
@@ -79,13 +84,7 @@ class LensSpec:
         object.__setattr__(self, "a", tuple(int(x) for x in self.a))
         if self.kind not in ("sphere", "bundle"):
             raise ValueError("kind must be 'sphere' or 'bundle'")
-        if len(self.a) % 2 != 0:
-            raise OddLengthError("weight tuple must have even length")
-        if any(x % 2 == 0 for x in self.a):
-            raise NotFreeError("every weight must be odd for a free action")
-        if any(math.gcd(x, self.l) != 1 for x in self.a):
-            raise NotFreeError(f"every weight must be coprime to l = {self.l} "
-                               f"for a free action")
+        cyclic_free_rep(self.l, self.a)  # the free-action rules
         if self.kind == "bundle":
             chern = self.chern if self.chern is not None else (2,) + (0,) * (len(self.a) - 1)
             object.__setattr__(self, "chern", tuple(int(c) for c in chern))
@@ -98,10 +97,6 @@ class LensSpec:
     def dimension(self) -> int:
         base = 2 * len(self.a) - 1
         return base if self.kind == "sphere" else base + 2
-
-    @property
-    def group(self) -> FiniteGroup:
-        return builtin_group(f"c{self.l}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +117,6 @@ class ManifoldSpec:
             raise ValueError("specify exactly one of lens / quaternion_k")
 
     @property
-    def base_group(self) -> FiniteGroup:
-        if self.lens is not None:
-            return self.lens.group
-        return builtin_group("q8")
-
-    @property
     def dimension(self) -> int:
         base = self.lens.dimension if self.lens is not None else 4 * self.quaternion_k + 3
         return base + 8 * self.bott_power
@@ -139,6 +128,10 @@ class ManifoldSpec:
 def eta_donnelly(tau: FreeUnitaryRep, rho: VirtualCharacter) -> Fraction:
     """|G|^-1 sum over non-identity classes of
     size * Tr(rho) * det_sqrt(tau) / det(I - tau), evaluated exactly.
+
+    When tau carries Chern numbers c_j (a lens-space bundle over S^2),
+    each summand is multiplied by sum_j (c_j/2) (1+lambda_j)/(1-lambda_j)
+    over the class's eigenvalues lambda_j.
 
     rho need not have virtual dimension zero (differences of manifolds are
     computed by evaluating non-reduced characters), but order semantics in
@@ -155,6 +148,13 @@ def eta_donnelly(tau: FreeUnitaryRep, rho: VirtualCharacter) -> Fraction:
         for e in exps:
             det = det * (1 - root_of_unity(n, e))
         term = rho.value_at(c) * tau.det_sqrt[c] / det
+        if tau.chern is not None:
+            factor = CyclotomicNumber.from_rational(0)
+            for e, cj in zip(exps, tau.chern):
+                if cj:
+                    lam = root_of_unity(n, e)
+                    factor = factor + Fraction(cj, 2) * (1 + lam) / (1 - lam)
+            term = term * factor
         total = total + tau.group.class_sizes[c] * term
     r = (total * Fraction(1, tau.group.order)).as_rational()
     if r is None:
@@ -171,50 +171,11 @@ def eta_donnelly_float(tau: FreeUnitaryRep, rho: VirtualCharacter) -> float:
         for e in tau.eigen_exponents[c]:
             det *= 1 - cmath.exp(2j * cmath.pi * e / n)
         term = rho.value_at(c).to_complex() * tau.det_sqrt[c].to_complex() / det
+        if tau.chern is not None:
+            lams = (cmath.exp(2j * cmath.pi * e / n) for e in tau.eigen_exponents[c])
+            term *= sum(0.5 * cj * (1 + lam) / (1 - lam) for lam, cj in zip(lams, tau.chern))
         total += tau.group.class_sizes[c] * term
     return (total / tau.group.order).real
-
-
-def eta_lens_cyclic(spec: LensSpec, rho: VirtualCharacter) -> Fraction:
-    """l^-1 sum over 1 != lambda in C_l of
-    lambda^(sum(a)/2) * prod (1-lambda^a_j)^-1 * Tr(rho(lambda))."""
-    if spec.kind != "sphere":
-        raise ValueError("eta_lens_cyclic expects a sphere-kind spec")
-    return _lens_sum(spec, rho)
-
-
-def eta_lens_bundle(spec: LensSpec, rho: VirtualCharacter) -> Fraction:
-    """Sphere-bundle variant: the summand acquires the extra factor
-    sum_j (1/2) c_j (1+lambda^a_j) / (1-lambda^a_j)."""
-    if spec.kind != "bundle":
-        raise ValueError("eta_lens_bundle expects a bundle-kind spec")
-    return _lens_sum(spec, rho)
-
-
-def _lens_sum(spec: LensSpec, rho: VirtualCharacter) -> Fraction:
-    if rho.group is not spec.group:
-        raise ValueError(f"character must live on C_{spec.l}")
-    if rho.dim != 0:
-        raise ValueError("lens-space eta requires a virtual dimension zero character")
-    l, half = spec.l, sum(spec.a) // 2
-    total = CyclotomicNumber.from_rational(0)
-    for k in range(1, l):
-        f = root_of_unity(l, k * half)
-        for aj in spec.a:
-            f = f / (1 - root_of_unity(l, k * aj))
-        if spec.kind == "bundle":
-            factor = CyclotomicNumber.from_rational(0)
-            for aj, cj in zip(spec.a, spec.chern):
-                if cj:
-                    lam = root_of_unity(l, k * aj)
-                    factor = factor + Fraction(cj, 2) * (1 + lam) / (1 - lam)
-            f = f * factor
-        total = total + f * rho.value_at(k)
-    r = (total * Fraction(1, l)).as_rational()
-    if r is None:
-        what = "lens bundle sum" if spec.kind == "bundle" else "lens sum"
-        raise NonRationalSumError(f"{what} did not reduce to a rational")
-    return r
 
 
 def _lens_float(spec: LensSpec, rho: VirtualCharacter) -> float:
@@ -245,22 +206,22 @@ def eta_of(manifold: ManifoldSpec, rho: VirtualCharacter) -> Fraction:
         if rho.group is not manifold.inclusion.target:
             raise ValueError("character must live on the inclusion's target group")
         rho = restrict_virtual(rho, manifold.inclusion)
-    if manifold.quaternion_k is not None:
-        return eta_donnelly(quaternion_free_rep(manifold.quaternion_k), rho)
-    if manifold.lens.kind == "sphere":
-        return eta_lens_cyclic(manifold.lens, rho)
-    return eta_lens_bundle(manifold.lens, rho)
+    tau = manifold_free_rep(manifold)
+    if manifold.lens is not None:
+        if rho.group is not tau.group:
+            raise ValueError(f"character must live on C_{manifold.lens.l}")
+        if rho.dim != 0:
+            raise ValueError("lens-space eta requires a virtual dimension zero character")
+    return eta_donnelly(tau, rho)
 
 
 def manifold_free_rep(manifold: ManifoldSpec) -> FreeUnitaryRep:
-    """The defining fixed-point-free representation of a sphere-kind or
-    quaternionic manifold; feeding it to `eta_donnelly` permits evaluating
-    non-reduced characters (bundle-kind manifolds have no such model)."""
+    """The defining fixed-point-free representation of the manifold, with
+    the line-bundle Chern numbers for a bundle-kind lens space; feeding it
+    to `eta_donnelly` permits evaluating non-reduced characters."""
     if manifold.quaternion_k is not None:
         return quaternion_free_rep(manifold.quaternion_k)
-    if manifold.lens.kind != "sphere":
-        raise ValueError("bundle-kind manifolds have no single free representation")
-    return cyclic_free_rep(manifold.lens.l, manifold.lens.a)
+    return cyclic_free_rep(manifold.lens.l, manifold.lens.a, manifold.lens.chern)
 
 
 def eta_of_float(manifold: ManifoldSpec, rho: VirtualCharacter) -> float:
@@ -321,6 +282,6 @@ def recursion_check(a: Sequence[int], l: int = 8) -> bool:
     verified exactly for the given base tuple."""
     table = character_table(f"c{l}")
     rho = table.irreducible("r4") - table.irreducible("r0")
-    base = eta_lens_cyclic(LensSpec(l, tuple(a)), rho)
-    extended = eta_lens_cyclic(LensSpec(l, tuple(a) + (1, 1, 5, 5)), rho)
+    base = eta_of(ManifoldSpec(lens=LensSpec(l, tuple(a))), rho)
+    extended = eta_of(ManifoldSpec(lens=LensSpec(l, tuple(a) + (1, 1, 5, 5))), rho)
     return extended == base / 2

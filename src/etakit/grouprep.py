@@ -10,9 +10,10 @@ at these orders (|G| <= 64).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .exactnum import CyclotomicNumber, parse_cyclotomic, root_of_unity
 
@@ -428,8 +429,13 @@ class VirtualCharacter:
         if k < 0:
             raise ValueError("negative character powers are not defined")
         result = self.table.constant(1)
-        for _ in range(k):
-            result = result * self
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -670,56 +676,80 @@ class FreeUnitaryRep:
     of the eigenvalues zeta_root_order^k (with multiplicity).  Construct
     through `cyclic_free_rep` or `quaternion_free_rep`; raw eigenvalue
     tables that fail the representation invariants are rejected here.
+
+    `chern`, when given, makes this the fibre data of a sphere bundle over
+    S^2: `chern[j]` is the first Chern number of the line bundle that
+    carries the j-th eigenvalue slot of every class.
     """
 
     def __init__(self, group: FiniteGroup, dimension: int, root_order: int,
                  eigen_exponents: Sequence[Sequence[int]],
-                 det_sqrt: Sequence[CyclotomicNumber]):
+                 det_sqrt: Sequence[CyclotomicNumber],
+                 chern: Optional[Sequence[int]] = None):
         self.group = group
         self.dimension = dimension
         self.root_order = root_order
         self.eigen_exponents = tuple(tuple(e % root_order for e in exps)
                                      for exps in eigen_exponents)
         self.det_sqrt = tuple(det_sqrt)
+        self.chern = None if chern is None else tuple(int(c) for c in chern)
         if len(self.eigen_exponents) != len(group.classes):
             raise ValueError("eigenvalue data must cover every conjugacy class")
+        if len(self.det_sqrt) != len(group.classes):
+            raise ValueError("det_sqrt must cover every conjugacy class")
         if any(len(exps) != dimension for exps in self.eigen_exponents):
             raise ValueError("each class needs exactly `dimension` eigenvalues")
+        if self.chern is not None and len(self.chern) != dimension:
+            raise ValueError("chern data must give one number per eigenvalue slot")
         if any(e != 0 for e in self.eigen_exponents[0]):
             raise ValueError("identity class must have all eigenvalues 1")
         for c, exps in enumerate(self.eigen_exponents[1:], start=1):
             if any(e % root_order == 0 for e in exps):
                 raise NotFreeError(f"unit eigenvalue at non-identity class {c}")
         for c, exps in enumerate(self.eigen_exponents):
-            det = _cyc(1)
-            for e in exps:
-                det = det * root_of_unity(root_order, e)
+            det = root_of_unity(root_order, sum(exps))
             if self.det_sqrt[c] * self.det_sqrt[c] != det:
                 raise ValueError(f"det_sqrt^2 != det at class {c}")
 
 
-def cyclic_free_rep(l: int, a: Sequence[int]) -> FreeUnitaryRep:
-    """The C_l representation sum of rho_{a_j}; free iff every a_j is odd.
+def cyclic_free_rep(l: int, a: Sequence[int],
+                    chern: Optional[Sequence[int]] = None) -> FreeUnitaryRep:
+    """The C_l representation sum of rho_{a_j}, with the free-action rules
+    of a lens space S^(2n-1)/C_l: an even number of weights, every weight
+    odd and coprime to l.  The square root of the determinant is
+    rho_{(sum a_j)/2}; sum a_j is even, so it exists for every l.
 
-    l must be a power of two (>= 2) so that the canonical square root of
-    the determinant, rho_{(sum a_j)/2}, always exists.
+    `chern` attaches the line-bundle Chern numbers of a lens-space bundle
+    (see `FreeUnitaryRep`).  Each (l, a, chern) is built once.
     """
-    if l < 2 or (l & (l - 1)) != 0:
-        raise ValueError("l must be a power of two, l >= 2")
     a = tuple(int(x) for x in a)
     if len(a) % 2 != 0:
         raise OddLengthError("weight tuple must have even length")
     if any(x % 2 == 0 for x in a):
         raise NotFreeError("every weight must be odd for a free action")
+    if any(math.gcd(x, l) != 1 for x in a):
+        raise NotFreeError(f"every weight must be coprime to l = {l} "
+                           f"for a free action")
+    return _cyclic_free_rep(l, a, None if chern is None else tuple(int(c) for c in chern))
+
+
+@lru_cache(maxsize=None)
+def _cyclic_free_rep(l: int, a: tuple[int, ...],
+                     chern: Optional[tuple[int, ...]]) -> FreeUnitaryRep:
     group = builtin_group(f"c{l}")
     half = sum(a) // 2
     exps = [tuple(k * x % l for x in a) for k in range(l)]
     det_sqrt = [root_of_unity(l, k * half) for k in range(l)]
-    return FreeUnitaryRep(group, len(a), l, exps, det_sqrt)
+    return FreeUnitaryRep(group, len(a), l, exps, det_sqrt, chern)
+
+
+# bounds the dimension, and so the work, of one sum; the claims use k <= 17
+QUATERNION_K_CAP = 1024
 
 
 def quaternion_free_rep(k: int = 0) -> FreeUnitaryRep:
-    """The (k+1)-fold sum of the 2-dimensional representation of Q8.
+    """The (k+1)-fold sum of the 2-dimensional representation of Q8,
+    for 0 <= k <= QUATERNION_K_CAP.
 
     Eigenvalues: -1 twice per copy at the central class, +-i once each per
     copy at the three order-4 classes.  Its determinant is trivial, and the
@@ -727,6 +757,8 @@ def quaternion_free_rep(k: int = 0) -> FreeUnitaryRep:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if k > QUATERNION_K_CAP:
+        raise ValueError(f"k = {k} exceeds the cap {QUATERNION_K_CAP}")
     group = builtin_group("q8")
     m = k + 1
     exps = [(0, 0) * m,       # [1]

@@ -8,8 +8,8 @@ import random
 from fractions import Fraction
 
 from etakit.eta import (LensSpec, ManifoldSpec, Modulus, eta_donnelly,
-                        eta_donnelly_float, eta_lens_bundle, eta_lens_cyclic,
-                        eta_of_float, eta_order, span_order_lower_bound)
+                        eta_donnelly_float, eta_of, eta_of_float, eta_order,
+                        span_order_lower_bound)
 from etakit.f2ring import (F2AlgebraElement, dihedral_cohomology,
                            dual_pushforward, klein_cohomology,
                            semidihedral_cohomology, sd_to_d8_restriction,
@@ -26,6 +26,10 @@ def _passed(criterion: int, message: str) -> None:
 
 def _tau_power(power):
     return (2 - character_table("q8").irreducible("tau")) ** power
+
+
+def _lens_eta(spec, chi):
+    return eta_of(ManifoldSpec(lens=spec), chi)
 
 
 def _c8(j):
@@ -48,16 +52,16 @@ def test_criterion_1_quaternion_closed_forms():
 def test_criterion_2_lens_regressions():
     # dimension 3 and 7 displayed values: the displayed sums carry the
     # trace factor of r0 - r4 (see the decisions ledger for the labeling)
-    v3 = eta_lens_cyclic(LensSpec(8, (1, 1)), _c8(0) - _c8(4))
-    v7 = eta_lens_cyclic(LensSpec(8, (1, 1, 1, 1)), _c8(0) - _c8(4))
+    v3 = _lens_eta(LensSpec(8, (1, 1)), _c8(0) - _c8(4))
+    v7 = _lens_eta(LensSpec(8, (1, 1, 1, 1)), _c8(0) - _c8(4))
     assert v3 == -1 and eta_order(v3, Modulus.TWO_Z) == 2
     assert v7 == Fraction(3, 2) and eta_order(v7, Modulus.Z) == 2
     b5 = LensSpec(8, (1, 1), kind="bundle")
     b13 = LensSpec(8, (1,) * 6, kind="bundle")
-    v51 = eta_lens_bundle(b5, _c8(0) - _c8(1))
-    v53 = eta_lens_bundle(b5, _c8(0) - _c8(3))
-    v131 = eta_lens_bundle(b13, _c8(0) - _c8(1))
-    v133 = eta_lens_bundle(b13, _c8(0) - _c8(3))
+    v51 = _lens_eta(b5, _c8(0) - _c8(1))
+    v53 = _lens_eta(b5, _c8(0) - _c8(3))
+    v131 = _lens_eta(b13, _c8(0) - _c8(1))
+    v133 = _lens_eta(b13, _c8(0) - _c8(3))
     assert v51 == Fraction(-7, 8)
     assert v53 == Fraction(-5, 8)
     assert v131 == Fraction(-17, 8) - Fraction(1, 32)
@@ -101,8 +105,8 @@ def test_criterion_5_recursion_property():
     for _ in range(50):
         length = rng.choice((2, 4, 6, 8))
         a = tuple(rng.choice((1, 3, 5, 7, 9, 11, 13, 15)) for _ in range(length))
-        base = eta_lens_cyclic(LensSpec(8, a), rho)
-        extended = eta_lens_cyclic(LensSpec(8, a + (1, 1, 5, 5)), rho)
+        base = _lens_eta(LensSpec(8, a), rho)
+        extended = _lens_eta(LensSpec(8, a + (1, 1, 5, 5)), rho)
         assert extended == base / 2, a
     _passed(5, "eta halves under appending (1,1,5,5), 50 random odd tuples, exactly")
 
@@ -121,7 +125,7 @@ def test_criterion_6_float_oracle():
         (LensSpec(8, (1, 1, 1, 1)), _c8(0) - _c8(4)),
     ]
     for spec, chi in lens_cases:
-        assert abs(float(eta_lens_cyclic(spec, chi))
+        assert abs(float(_lens_eta(spec, chi))
                    - eta_of_float(ManifoldSpec(lens=spec), chi)) < 1e-9
         checked += 1
     bundle_cases = [
@@ -131,7 +135,7 @@ def test_criterion_6_float_oracle():
         (LensSpec(8, (1,) * 6, kind="bundle"), _c8(0) - _c8(3)),
     ]
     for spec, chi in bundle_cases:
-        assert abs(float(eta_lens_bundle(spec, chi))
+        assert abs(float(_lens_eta(spec, chi))
                    - eta_of_float(ManifoldSpec(lens=spec), chi)) < 1e-9
         checked += 1
     _passed(6, f"double-precision oracle within 1e-9 on {checked} exact values")

@@ -24,6 +24,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv, timeout):
+    """`python -m etakit.cli` in a fresh interpreter on this checkout's src."""
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
 def readme_examples():
     """The commands of the README "Command line" block, without `etakit`."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -113,6 +122,15 @@ class TestEtaCommand:
                                  "--a", "3,3", "--rho", "r1-r0")
         assert (code, out) == (1, "")
         assert err == "NotFreeError: every weight must be coprime to l = 6 for a free action\n"
+
+    @pytest.mark.parametrize("argv,error", [
+        (("--k", "1", "--rho", "(2-tau)^100000"), "OverflowError: "),
+        (("--k", "100000", "--rho", "2-tau"), "ValueError: k = 100000 exceeds the cap 1024\n"),
+    ], ids=["character-power", "quaternion-k"])
+    def test_huge_quaternion_input_ends_quickly(self, argv, error):
+        proc = run_module("-m", "etakit.cli", "eta", "quaternion", *argv, timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(error) and "Traceback" not in proc.stderr
 
     def test_character_grammar(self):
         t = character_table("sd16")
@@ -284,10 +302,6 @@ class TestOptimizedInterpreter:
             assert not asserts, f"{path.name}: assert at lines {asserts}"
 
     def test_verify_under_optimize_flag(self):
-        src = str(Path(__file__).parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-O", "-m", "etakit.cli", *VERIFY_JSON.split()],
-                              capture_output=True, text=True, env=env, timeout=300)
+        proc = run_module("-O", "-m", "etakit.cli", *VERIFY_JSON.split(), timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "verify_all.json").read_text(encoding="utf-8")

@@ -8,13 +8,43 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etakit.eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
-                        eta_donnelly, eta_donnelly_float, eta_lens_bundle,
-                        eta_lens_cyclic, eta_of, eta_of_float, eta_order,
-                        rational_determinant, recursion_check,
+                        eta_donnelly, eta_donnelly_float, eta_of, eta_of_float,
+                        eta_order, rational_determinant, recursion_check,
                         span_order_lower_bound, thm31_modulus)
+from etakit.exactnum import CyclotomicNumber, root_of_unity
 from etakit.grouprep import (InclusionMap, NotFreeError, OddLengthError,
-                             builtin_group, character_table, cyclic_free_rep,
-                             quaternion_free_rep, restrict_virtual)
+                             VirtualCharacter, builtin_group, character_table,
+                             cyclic_free_rep, quaternion_free_rep,
+                             restrict_virtual)
+
+
+def lens_eta(spec, rho):
+    return eta_of(ManifoldSpec(lens=spec), rho)
+
+
+def reference_lens_sum(spec, rho):
+    """The per-weight lens and lens-bundle sum that the Donnelly engine
+    replaced, kept as an exact reference:
+    l^-1 sum over 1 != lambda in C_l of lambda^(sum(a)/2)
+    * prod_j (1 - lambda^a_j)^-1 * Tr(rho(lambda)), for bundles times
+    sum_j (c_j/2) (1 + lambda^a_j) / (1 - lambda^a_j)."""
+    l, half = spec.l, sum(spec.a) // 2
+    total = CyclotomicNumber.from_rational(0)
+    for k in range(1, l):
+        f = root_of_unity(l, k * half)
+        for aj in spec.a:
+            f = f / (1 - root_of_unity(l, k * aj))
+        if spec.kind == "bundle":
+            factor = CyclotomicNumber.from_rational(0)
+            for aj, cj in zip(spec.a, spec.chern):
+                if cj:
+                    lam = root_of_unity(l, k * aj)
+                    factor = factor + Fraction(cj, 2) * (1 + lam) / (1 - lam)
+            f = f * factor
+        total = total + f * rho.value_at(k)
+    r = (total * Fraction(1, l)).as_rational()
+    assert r is not None
+    return r
 
 
 def c8_char(expr_j, minus_j=None):
@@ -55,18 +85,18 @@ class TestLensValues:
         # the displayed sum has trace factor 1 - lambda^4, i.e. r0 - r4;
         # the engine evaluates characters strictly, so r4 - r0 negates it
         spec = LensSpec(8, (1, 1))
-        assert eta_lens_cyclic(spec, c8_char(0, 4)) == -1
-        assert eta_lens_cyclic(spec, c8_char(4, 0)) == 1
+        assert lens_eta(spec, c8_char(0, 4)) == -1
+        assert lens_eta(spec, c8_char(4, 0)) == 1
 
     def test_dimension_seven(self):
-        assert eta_lens_cyclic(LensSpec(8, (1, 1, 1, 1)), c8_char(0, 4)) == \
+        assert lens_eta(LensSpec(8, (1, 1, 1, 1)), c8_char(0, 4)) == \
             Fraction(3, 2)
 
     def test_dimension_eleven_sphere(self):
         # no displayed value exists for this one; frozen from the engine
         # after cross-checking against the double-precision oracle
         spec = LensSpec(8, (1,) * 6)
-        value = eta_lens_cyclic(spec, c8_char(0, 1))
+        value = lens_eta(spec, c8_char(0, 1))
         assert value == Fraction(-105, 256)
         assert abs(float(value)
                    - eta_of_float(ManifoldSpec(lens=spec), c8_char(0, 1))) < 1e-9
@@ -75,15 +105,15 @@ class TestLensValues:
         b5 = LensSpec(8, (1, 1), kind="bundle")
         b13 = LensSpec(8, (1,) * 6, kind="bundle")
         assert b5.chern == (2, 0)
-        assert eta_lens_bundle(b5, c8_char(0, 1)) == Fraction(-7, 8)
-        assert eta_lens_bundle(b5, c8_char(0, 3)) == Fraction(-5, 8)
-        assert eta_lens_bundle(b13, c8_char(0, 1)) == Fraction(-69, 32)
-        assert eta_lens_bundle(b13, c8_char(0, 3)) == Fraction(-67, 32)
+        assert lens_eta(b5, c8_char(0, 1)) == Fraction(-7, 8)
+        assert lens_eta(b5, c8_char(0, 3)) == Fraction(-5, 8)
+        assert lens_eta(b13, c8_char(0, 1)) == Fraction(-69, 32)
+        assert lens_eta(b13, c8_char(0, 3)) == Fraction(-67, 32)
 
     def test_zero_chern_annihilates(self):
         spec = LensSpec(8, (1, 1), kind="bundle", chern=(0, 0))
         for j in (1, 3, 4):
-            assert eta_lens_bundle(spec, c8_char(0, j)) == 0
+            assert lens_eta(spec, c8_char(0, j)) == 0
 
     def test_weight_validation(self):
         with pytest.raises(NotFreeError):
@@ -97,8 +127,13 @@ class TestLensValues:
 
     def test_virtual_dimension_zero_required(self):
         t = character_table("c8")
-        with pytest.raises(ValueError):
-            eta_lens_cyclic(LensSpec(8, (1, 1)), t.irreducible("r0"))
+        with pytest.raises(ValueError, match="requires a virtual dimension zero character"):
+            lens_eta(LensSpec(8, (1, 1)), t.irreducible("r0"))
+
+    def test_character_must_live_on_the_cyclic_group(self):
+        t = character_table("c16")
+        with pytest.raises(ValueError, match="character must live on C_8"):
+            lens_eta(LensSpec(8, (1, 1)), t.irreducible("r1") - t.irreducible("r0"))
 
 
 class TestOrders:
@@ -127,7 +162,8 @@ class TestAgreement:
         rep = cyclic_free_rep(8, a)
         for j in (1, 3, 4):
             chi = c8_char(0, j)
-            assert eta_lens_cyclic(spec, chi) == eta_donnelly(rep, chi)
+            assert lens_eta(spec, chi) == eta_donnelly(rep, chi) == \
+                reference_lens_sum(spec, chi)
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.lists(st.sampled_from((1, 3, 5, 7)), min_size=2, max_size=6)
@@ -136,7 +172,43 @@ class TestAgreement:
         spec = LensSpec(8, tuple(a))
         rep = cyclic_free_rep(8, tuple(a))
         chi = c8_char(0, 4)
-        assert eta_lens_cyclic(spec, chi) == eta_donnelly(rep, chi)
+        assert lens_eta(spec, chi) == eta_donnelly(rep, chi) == \
+            reference_lens_sum(spec, chi)
+
+    @staticmethod
+    def _check(l, kind, data):
+        # weights up to 2l: a weight shifted by l changes the determinant
+        # square root, so unreduced weights are cases of their own
+        units = [u for u in range(1, 2 * l, 2) if math.gcd(u, l) == 1]
+        a = data.draw(st.lists(st.sampled_from(units), min_size=2, max_size=6)
+                      .filter(lambda v: len(v) % 2 == 0))
+        chern = None
+        if kind == "bundle":
+            chern = data.draw(st.lists(st.integers(-3, 3), min_size=len(a),
+                                       max_size=len(a)))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=l, max_size=l))
+        coeffs[0] -= sum(coeffs)  # virtual dimension zero
+        chi = VirtualCharacter(character_table(f"c{l}"), coeffs)
+        spec = LensSpec(l, tuple(a), kind, chern)
+        value = lens_eta(spec, chi)
+        assert value == reference_lens_sum(spec, chi)
+        approx = eta_of_float(ManifoldSpec(lens=spec), chi)
+        assert abs(float(value) - approx) < 1e-9
+        # the float mirror of the engine, on the representation itself
+        rep = cyclic_free_rep(l, spec.a, spec.chern)
+        assert abs(eta_donnelly_float(rep, chi) - approx) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(l=st.integers(2, 32), kind=st.sampled_from(("sphere", "bundle")),
+           data=st.data())
+    def test_against_reference(self, l, kind, data):
+        self._check(l, kind, data)
+
+    @pytest.mark.parametrize("l", [6, 12, 15, 24])
+    @settings(max_examples=8, deadline=None)
+    @given(kind=st.sampled_from(("sphere", "bundle")), data=st.data())
+    def test_against_reference_composite(self, l, kind, data):
+        self._check(l, kind, data)
 
 
 class TestSymmetries:
@@ -149,8 +221,8 @@ class TestSymmetries:
         # is the same as multiplying every weight by g (without reducing:
         # a shift by 8 would flip the canonical determinant square root)
         chi = c8_char(0, 4)
-        left = eta_lens_cyclic(LensSpec(8, tuple(a)), chi)
-        right = eta_lens_cyclic(LensSpec(8, tuple(x * g for x in a)), chi)
+        left = lens_eta(LensSpec(8, tuple(a)), chi)
+        right = lens_eta(LensSpec(8, tuple(x * g for x in a)), chi)
         assert left == right
 
     @settings(max_examples=25, deadline=None)
@@ -160,8 +232,8 @@ class TestSymmetries:
     def test_conjugation_parity(self, a, j):
         # a_j -> l - a_j is complex conjugation on the action
         chi = c8_char(0, j)
-        left = eta_lens_cyclic(LensSpec(8, tuple(a)), chi)
-        right = eta_lens_cyclic(LensSpec(8, tuple(8 - x for x in a)),
+        left = lens_eta(LensSpec(8, tuple(a)), chi)
+        right = lens_eta(LensSpec(8, tuple(8 - x for x in a)),
                                 chi.conjugate())
         assert left == right
 
@@ -174,7 +246,7 @@ class TestFloatOracle:
     def test_sphere(self, a, j):
         spec = LensSpec(8, tuple(a))
         chi = c8_char(0, j)
-        assert abs(float(eta_lens_cyclic(spec, chi))
+        assert abs(float(lens_eta(spec, chi))
                    - eta_of_float(ManifoldSpec(lens=spec), chi)) < 1e-9
 
     @settings(max_examples=30, deadline=None)
@@ -213,7 +285,7 @@ class TestRecursion:
     def test_base_value(self):
         # -1/2 versus (1/2)(-1) after one application
         spec = LensSpec(8, (1, 1, 1, 1, 5, 5))
-        assert eta_lens_cyclic(spec, c8_char(4, 0)) == Fraction(1, 2)
+        assert lens_eta(spec, c8_char(4, 0)) == Fraction(1, 2)
 
 
 class TestCertificates:
@@ -284,7 +356,7 @@ class TestManifoldsAndVectors:
         t = character_table("sd16")
         chi = t.trivial() - t.irreducible("chi3")
         manifold = ManifoldSpec(lens=LensSpec(8, (1, 1)), inclusion=inc)
-        direct = eta_lens_cyclic(LensSpec(8, (1, 1)), restrict_virtual(chi, inc))
+        direct = lens_eta(LensSpec(8, (1, 1)), restrict_virtual(chi, inc))
         assert eta_of(manifold, chi) == direct
 
     def test_bott_shift_keeps_value(self):

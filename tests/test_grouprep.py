@@ -8,10 +8,12 @@ import pytest
 
 from etakit.exactnum import root_of_unity
 from etakit import grouprep
-from etakit.grouprep import (CharacterTable, InclusionMap, NotASubgroupMapError, NotFreeError,
+from etakit.eta import LensSpec, ManifoldSpec, eta_donnelly, eta_of_float
+from etakit.grouprep import (CharacterTable, FreeUnitaryRep, InclusionMap,
+                             NotASubgroupMapError, NotFreeError,
                              NotIrreducibleError, OddLengthError,
                              UnsupportedGroupError, ValidationError,
-                             builtin_group, character_table,
+                             VirtualCharacter, builtin_group, character_table,
                              cyclic_free_rep, find_embeddings, frobenius_schur,
                              inclusion_from_json, is_quaternion_type,
                              is_real_type, quaternion_free_rep,
@@ -88,6 +90,16 @@ class TestVirtualCharacters:
         # 4 - 4 tau + tau^2 with tau^2 the sum of the four linears
         assert sq == (5 * t.irreducible("r0") + t.irreducible("k1")
                       + t.irreducible("k2") + t.irreducible("k3") - 4 * tau)
+
+    @pytest.mark.parametrize("tag", ["q8", "sd16", "c8"])
+    def test_power_by_squaring_matches_repeated_product(self, tag):
+        t = character_table(tag)
+        rng = random.Random(tag)
+        chi = VirtualCharacter(t, [rng.randint(-2, 2) for _ in t.rows])
+        product = t.constant(1)
+        for k in range(7):
+            assert chi ** k == product
+            product = product * chi
 
     def test_conjugate_swaps_rho_and_rho5(self):
         t = character_table("sd16")
@@ -242,8 +254,28 @@ class TestFreeRepresentations:
             cyclic_free_rep(8, (2, 1))
         with pytest.raises(OddLengthError):
             cyclic_free_rep(8, (1, 1, 5))
-        with pytest.raises(ValueError):
-            cyclic_free_rep(6, (1, 1))
+        with pytest.raises(NotFreeError):
+            cyclic_free_rep(6, (3, 3))
+
+    def test_non_power_of_two_order(self):
+        # sum(a) is even, so rho_{sum(a)/2} squares to the determinant for every l
+        rep = cyclic_free_rep(6, (1, 1))
+        t = character_table("c6")
+        chi = t.irreducible("r1") - t.irreducible("r0")
+        value = eta_donnelly(rep, chi)
+        assert abs(float(value)
+                   - eta_of_float(ManifoldSpec(lens=LensSpec(6, (1, 1))), chi)) < 1e-9
+
+    def test_cyclic_reps_are_built_once(self):
+        assert cyclic_free_rep(8, [1, 3]) is cyclic_free_rep(8, (1, 3))
+        assert cyclic_free_rep(8, (1, 3), (2, 0)).chern == (2, 0)
+
+    @pytest.mark.parametrize("det_sqrt", [[root_of_unity(4, 0)] * 4,
+                                          [root_of_unity(4, 0)] * 6])
+    def test_det_sqrt_must_cover_every_class(self, det_sqrt):
+        exps = [(0, 0), (2, 2), (1, 3), (1, 3), (1, 3)]
+        with pytest.raises(ValueError, match="det_sqrt must cover every conjugacy class"):
+            FreeUnitaryRep(builtin_group("q8"), 2, 4, exps, det_sqrt)
 
     def test_quaternion_unit_determinant(self):
         for k in (0, 1, 2):
