@@ -24,11 +24,11 @@ from .f2ring import (DegeneratePairingError, DegreeBoundExceededError,
                      SteenrodData, circle_bundle_cohomology,
                      circle_bundle_steenrod, circle_bundle_to_lens,
                      d8_to_v2_restriction, dihedral_cohomology,
-                     dual_pushforward, dual_pushforward_map,
-                     klein_cohomology, lens_space_cohomology,
-                     sd_to_circle_bundle, sd_to_d8_restriction,
-                     semidihedral_cohomology, semidihedral_steenrod,
-                     sq1_branch_enumerate, stiefel_whitney, wu_classes)
+                     dual_pushforward_map, klein_cohomology,
+                     lens_space_cohomology, sd_to_circle_bundle,
+                     sd_to_d8_restriction, semidihedral_cohomology,
+                     semidihedral_steenrod, sq1_branch_enumerate,
+                     stiefel_whitney, wu_classes)
 from .glrverify import (ClaimResult, Report, kerap_lookup, run_report,
                         table_ko_order)
 

@@ -24,7 +24,7 @@ from .eta import (EtaValue, LensSpec, ManifoldSpec, Modulus, eta_of,
 from .f2ring import (F2ParseError, PresentedF2Algebra, SteenrodData,
                      circle_bundle_cohomology, circle_bundle_steenrod,
                      d8_to_v2_restriction, dihedral_cohomology,
-                     dual_pushforward, dual_pushforward_map, klein_cohomology,
+                     dual_pushforward_map, klein_cohomology,
                      lens_space_cohomology, sd_to_circle_bundle,
                      sd_to_d8_restriction, semidihedral_cohomology,
                      semidihedral_steenrod, stiefel_whitney, wu_classes)
@@ -327,11 +327,12 @@ def _cmd_push(args, cfg: Config) -> int:
     else:
         raise ValidationError(f"unknown map {key!r}; use sd-to-d8, d8-to-v2 "
                               f"or sd-to-m<2n>")
-    if args.format == "json":
-        print(json.dumps(dual_pushforward(hom, args.degree)))
-        return 0
     push = dual_pushforward_map(hom, args.degree)
     src, tgt = hom.source, hom.target
+    if args.format == "json":
+        basis = src.graded_basis(args.degree)
+        print(json.dumps([[int(s in support) for s in basis] for support in push.values()]))
+        return 0
     for t_mon, support in push.items():
         image = " + ".join(f"xi({src.format_monomial(s)})"
                            for s in sorted(support, reverse=True)) or "0"

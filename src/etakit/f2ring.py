@@ -10,11 +10,16 @@ S-polynomial resolution; because all the ideals here are homogeneous,
 the truncated system is exact in every degree up to the bound.  On top
 of that, confluence can be certified against a brute-force quotient
 dimension oracle that shares no code with the rewriting path.
+
+Homomorphisms and the Cartan extension of Steenrod squares are both
+multiplicative maps on monomials: `_monomial_value` builds the value of a
+new monomial from the cached value of its predecessor with one product.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .infix import parse_infix
@@ -115,13 +120,6 @@ class F2AlgebraElement:
             raise ValueError("element is not homogeneous")
         return degs.pop() if degs else None
 
-    def homogeneous_parts(self) -> dict[int, "F2AlgebraElement"]:
-        parts: dict[int, set] = {}
-        for m in self.monomials:
-            parts.setdefault(self.algebra.monomial_degree(m), set()).add(m)
-        return {d: F2AlgebraElement(self.algebra, frozenset(s))
-                for d, s in sorted(parts.items())}
-
     def __add__(self, other: "F2AlgebraElement") -> "F2AlgebraElement":
         self._check(other)
         return F2AlgebraElement(self.algebra, self.monomials ^ other.monomials)
@@ -148,9 +146,13 @@ class F2AlgebraElement:
     def __pow__(self, k: int) -> "F2AlgebraElement":
         if k < 0:
             raise ValueError("negative powers are not defined")
-        result = self.algebra.one
-        for _ in range(k):
-            result = result * self
+        result, base = self.algebra.one, self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def _check(self, other):
@@ -439,6 +441,24 @@ class PresentedF2Algebra:
 # -- graded homomorphisms ---------------------------------------------------------
 
 
+def _monomial_value(m: Monomial, cache: dict, generator_values: Sequence, product):
+    """Value at m of the multiplicative map sending generator i to
+    generator_values[i]; `cache` must hold the value at the zero monomial.
+    With i the last generator of nonzero exponent in m, the value at m is
+    product(value at m - e_i, generator_values[i]).  Every monomial on the
+    way down is cached, so each new monomial costs one product."""
+    chain = []
+    while m not in cache:
+        i = max(j for j, e in enumerate(m) if e)
+        chain.append((m, i))
+        m = m[:i] + (m[i] - 1,) + m[i + 1:]
+    value = cache[m]
+    for mon, i in reversed(chain):
+        value = product(value, generator_values[i])
+        cache[mon] = value
+    return value
+
+
 class GradedHom:
     """Degree-preserving algebra map given by generator images; every
     source relation is checked to map to zero at construction."""
@@ -461,7 +481,7 @@ class GradedHom:
             if not img.is_zero() and img.degree() != gdeg:
                 raise ValueError(f"image of {gname} must be homogeneous of degree {gdeg}")
             self.images.append(img)
-        self._monomial_cache: dict[Monomial, F2AlgebraElement] = {}
+        self._monomial_cache = {(0,) * len(self.images): target.one}
         for rel in source.raw_relations:
             total = target.zero
             for m in rel:
@@ -471,13 +491,7 @@ class GradedHom:
                                  f"under {self.name}")
 
     def _apply_monomial(self, m: Monomial) -> F2AlgebraElement:
-        if m not in self._monomial_cache:
-            out = self.target.one
-            for img, e in zip(self.images, m):
-                for _ in range(e):
-                    out = out * img
-            self._monomial_cache[m] = out
-        return self._monomial_cache[m]
+        return _monomial_value(m, self._monomial_cache, self.images, operator.mul)
 
     def __call__(self, e: Union[str, F2AlgebraElement]) -> F2AlgebraElement:
         if isinstance(e, str):
@@ -493,27 +507,17 @@ class GradedHom:
         return f"GradedHom({self.name})"
 
 
-def dual_pushforward(f: GradedHom, n: int) -> list[list[int]]:
-    """Matrix of the homology pushforward dual to f in degree n.
-
-    Row t (indexed by target.graded_basis(n)) lists, over
-    source.graded_basis(n), which source monomials contain target monomial
-    t in their image: applied to the dual class of a target monomial it
-    yields the sum of the dual classes of those source monomials."""
-    src = f.source.graded_basis(n)
-    tgt = f.target.graded_basis(n)
-    images = [f._apply_monomial(m).monomials for m in src]
-    return [[1 if t_mon in img else 0 for img in images] for t_mon in tgt]
-
-
 def dual_pushforward_map(f: GradedHom, n: int) -> dict[Monomial, frozenset]:
-    """`dual_pushforward` as a mapping target-monomial -> set of source
-    monomials (the support of the pushed-forward dual class)."""
+    """The homology pushforward dual to f in degree n: each target monomial
+    t, in target.graded_basis(n) order, maps to the set of source monomials
+    of degree n whose image contains t.  Applied to the dual class of t it
+    yields the sum of the dual classes of that set."""
     src = f.source.graded_basis(n)
-    tgt = f.target.graded_basis(n)
-    matrix = dual_pushforward(f, n)
-    return {t: frozenset(s for j, s in enumerate(src) if matrix[i][j])
-            for i, t in enumerate(tgt)}
+    support: dict[Monomial, list] = {t: [] for t in f.target.graded_basis(n)}
+    for s in src:
+        for t in f._apply_monomial(s).monomials:
+            support[t].append(s)
+    return {t: frozenset(mons) for t, mons in support.items()}
 
 
 # -- Steenrod squares ---------------------------------------------------------------
@@ -555,7 +559,7 @@ class SteenrodData:
             self._series.append(row)
         if given:
             raise InconsistentSteenrodDataError(f"unknown generators in data: {sorted(given)}")
-        self._mono_cache: dict[Monomial, list[F2AlgebraElement]] = {}
+        self._mono_cache = {(0,) * len(self._series): [algebra.one]}
         self._validate_relations()
 
     def _coerce(self, value) -> F2AlgebraElement:
@@ -576,13 +580,7 @@ class SteenrodData:
         return out
 
     def _monomial_series(self, m: Monomial) -> list[F2AlgebraElement]:
-        if m not in self._mono_cache:
-            series = [self.algebra.one]
-            for gi, e in enumerate(m):
-                for _ in range(e):
-                    series = self._convolve(series, self._series[gi])
-            self._mono_cache[m] = series
-        return self._mono_cache[m]
+        return _monomial_value(m, self._mono_cache, self._series, self._convolve)
 
     def _validate_relations(self) -> None:
         for rel in self.algebra.raw_relations:
@@ -606,12 +604,6 @@ class SteenrodData:
             if i < len(series):
                 out = out + series[i]
         return out
-
-    def total_sq(self, e: F2AlgebraElement) -> dict[int, F2AlgebraElement]:
-        deg = e.degree()
-        if deg is None:
-            return {}
-        return {i: self.sq(i, e) for i in range(deg + 1)}
 
 
 # -- Wu and Stiefel-Whitney classes ---------------------------------------------------

@@ -121,10 +121,9 @@ class FiniteGroup:
         return self.mult[a].index(0)
 
     def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
+        """a^k for any integer k, negative k included."""
         result = 0
-        for _ in range(k):
+        for _ in range(k % self.element_order(a)):
             result = self.mul(result, a)
         return result
 
@@ -754,11 +753,17 @@ def quaternion_free_rep(k: int = 0) -> FreeUnitaryRep:
     Eigenvalues: -1 twice per copy at the central class, +-i once each per
     copy at the three order-4 classes.  Its determinant is trivial, and the
     square root of the determinant is taken to be the trivial character.
+    Each k is built once.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > QUATERNION_K_CAP:
         raise ValueError(f"k = {k} exceeds the cap {QUATERNION_K_CAP}")
+    return _quaternion_free_rep(k)
+
+
+@lru_cache(maxsize=None)
+def _quaternion_free_rep(k: int) -> FreeUnitaryRep:
     group = builtin_group("q8")
     m = k + 1
     exps = [(0, 0) * m,       # [1]

@@ -65,6 +65,12 @@ class TestDocumentedCommands:
         golden = json.loads((GOLDEN / "readme_examples.json").read_text(encoding="utf-8"))
         assert run_cli(capsys, *shlex.split(command))[:2] == (0, golden[command])
 
+    @pytest.mark.parametrize("command", list(json.loads(
+        (GOLDEN / "push_json.json").read_text(encoding="utf-8"))))
+    def test_push_json(self, capsys, command):
+        golden = json.loads((GOLDEN / "push_json.json").read_text(encoding="utf-8"))
+        assert run_cli(capsys, *command.split())[:2] == (0, golden[command])
+
     def test_determinism(self, capsys):
         outputs = set()
         for _ in range(2):
@@ -177,6 +183,21 @@ class TestOtherCommands:
             run_cli(capsys, "nf", "--algebra", "sd", "--expr", "(y^2)^3")[:2] == \
             (0, "y^6\n")
         assert run_cli(capsys, "nf", "--algebra", "sd", "--expr", "x^2^3")[:2] == (0, "0\n")
+
+    def test_restrict_negative_power_image(self, capsys):
+        _, out, _ = run_cli(capsys, "restrict", "--group", "sd16", "--subgroup", "q8",
+                            "--images", "i=s^-6,j=t*s", "--chi", "rho2")
+        assert out == "k1 + k3\n"
+
+    @pytest.mark.parametrize("argv,code,out,err", [
+        (("nf", "--algebra", "sd", "--expr", "x^1000000000"), 0, "0\n", ""),
+        (("restrict", "--group", "sd16", "--subgroup", "q8",
+          "--images", "i=s^1000000000,j=t*s", "--chi", "rho2"),
+         1, "", "NotASubgroupMapError: map is not injective\n"),
+    ], ids=["algebra-power", "group-power"])
+    def test_huge_exponent_ends_quickly(self, argv, code, out, err):
+        proc = run_module("-m", "etakit.cli", *argv, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
     def test_basis(self, capsys):
         _, out, _ = run_cli(capsys, "basis", "--algebra", "d8", "--degree", "3")

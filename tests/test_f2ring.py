@@ -1,7 +1,9 @@
 """Presented F2 algebras: normal forms, bases, homs, Steenrod, duality."""
 
+import functools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from etakit.f2ring import (DegeneratePairingError, DegreeBoundExceededError,
                            SteenrodData, circle_bundle_cohomology,
                            circle_bundle_steenrod, circle_bundle_to_lens,
                            d8_to_v2_restriction, dihedral_cohomology,
-                           dual_pushforward, dual_pushforward_map, gf2_echelon,
+                           dual_pushforward_map, gf2_echelon,
                            klein_cohomology, lens_space_cohomology,
                            sd_to_circle_bundle, sd_to_d8_restriction,
                            semidihedral_cohomology, semidihedral_steenrod,
@@ -211,18 +213,118 @@ class TestDualPushforward:
     def test_zero_hom_gives_zero_matrix(self, v2):
         trivial = PresentedF2Algebra("pt", [("e", 1)], ["e"])
         f = GradedHom(v2, trivial, {"p": 0, "q": 0})
-        matrix = dual_pushforward(f, 2)
-        assert all(all(x == 0 for x in row) for row in matrix)
+        push = dual_pushforward_map(f, 2)
+        assert all(not support for support in push.values())
 
     def test_transpose_duality(self, sd, d8):
         f = sd_to_d8_restriction(sd, d8)
         for n in (5, 8, 11):
             src, tgt = sd.graded_basis(n), d8.graded_basis(n)
-            matrix = dual_pushforward(f, n)
-            for i, t in enumerate(tgt):
-                for j, s in enumerate(src):
+            push = dual_pushforward_map(f, n)
+            assert list(push) == tgt
+            for t in tgt:
+                for s in src:
                     image = f(F2AlgebraElement(sd, frozenset({s})))
-                    assert matrix[i][j] == (1 if t in image.monomials else 0)
+                    assert (s in push[t]) == (t in image.monomials)
+
+
+# The per-factor loops that `_monomial_value` replaced, kept as references.
+
+
+def reference_apply_monomial(hom, m):
+    out = hom.target.one
+    for img, e in zip(hom.images, m):
+        for _ in range(e):
+            out = out * img
+    return out
+
+
+def reference_monomial_series(data, m):
+    series = [data.algebra.one]
+    for gi, e in enumerate(m):
+        for _ in range(e):
+            series = data._convolve(series, data._series[gi])
+    return series
+
+
+def reference_sq(data, i, e):
+    out = data.algebra.zero
+    for m in e.monomials:
+        series = reference_monomial_series(data, m)
+        if i < len(series):
+            out = out + series[i]
+    return out
+
+
+@functools.cache
+def monomial_maps():
+    sd, d8, v2 = semidihedral_cohomology(), dihedral_cohomology(), klein_cohomology()
+    return {"sd->d8": sd_to_d8_restriction(sd, d8),
+            "d8->v2": d8_to_v2_restriction(d8, v2),
+            "sd->m16": sd_to_circle_bundle(sd, circle_bundle_cohomology(8))}
+
+
+@functools.cache
+def steenrod_data():
+    m16 = circle_bundle_cohomology(8)
+    return {"sd": semidihedral_steenrod(semidihedral_cohomology()),
+            "m16": circle_bundle_steenrod(m16, sq1_branch_enumerate(m16)[0])}
+
+
+def draw_monomial(data, algebra, max_degree):
+    """An exponent tuple of total degree at most max_degree."""
+    remaining = data.draw(st.integers(min_value=0, max_value=max_degree))
+    exps = [0] * len(algebra.gen_degrees)
+    for i in data.draw(st.permutations(range(len(exps)))):
+        exps[i] = data.draw(st.integers(min_value=0,
+                                        max_value=remaining // algebra.gen_degrees[i]))
+        remaining -= exps[i] * algebra.gen_degrees[i]
+    return tuple(exps)
+
+
+class TestMonomialMaps:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["sd->d8", "d8->v2", "sd->m16"]))
+    def test_hom_images_match_per_factor_loop(self, data, name):
+        warm = monomial_maps()[name]
+        cold = GradedHom(warm.source, warm.target,
+                         dict(zip(warm.source.gen_names, warm.images)))
+        m = draw_monomial(data, warm.source, 48)
+        want = reference_apply_monomial(warm, m)
+        assert cold._apply_monomial(m) == warm._apply_monomial(m) == want
+        e = warm.source.normal_form([m])
+        assert warm(e) == sum((reference_apply_monomial(warm, n) for n in e.monomials),
+                              warm.target.zero)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["sd", "m16"]))
+    def test_squares_match_per_factor_loop(self, data, name):
+        steenrod = steenrod_data()[name]
+        algebra = steenrod.algebra
+        m = draw_monomial(data, algebra, 48)
+        assert steenrod._monomial_series(m) == reference_monomial_series(steenrod, m)
+        e = algebra.normal_form([m])
+        for i in range(algebra.monomial_degree(m) + 2):
+            assert steenrod.sq(i, e) == reference_sq(steenrod, i, e)
+
+    def test_exponent_above_recursion_limit(self, v2):
+        swap = GradedHom(v2, v2, {"p": "q", "q": "p"})
+        k = sys.getrecursionlimit() + 10
+        assert swap._apply_monomial((0, k)) == F2AlgebraElement(v2, frozenset({(k, 0)}))
+        assert swap(v2.parse(f"p*q^{k}")) == v2.parse(f"p^{k}*q")
+
+    @pytest.mark.parametrize("expr", ["x", "y + u", "x + y", "P + y^4 + u*x"])
+    def test_power_by_squaring_matches_repeated_product(self, sd, expr):
+        e = sd.parse(expr)
+        product = sd.one
+        for k in range(9):
+            assert e ** k == product
+            product = product * e
+
+    def test_huge_power_of_nilpotent(self, sd):
+        assert sd.parse("x") ** 1_000_000_000 == sd.zero
+        with pytest.raises(ValueError):
+            sd.parse("x") ** -1
 
 
 class TestSteenrod:

@@ -49,6 +49,17 @@ class TestBuiltinGroups:
         sd = builtin_group("sd16")
         assert sd.element("t*s") == sd.element("s^3*t")
 
+    def test_power_matches_repeated_product(self):
+        sd = builtin_group("sd16")
+        for a in range(sd.order):
+            x = 0  # a^k, one factor at a time
+            for k in range(2 * sd.order + 1):
+                assert sd.power(a, k) == x
+                assert sd.mul(sd.power(a, -k), x) == 0
+                x = sd.mul(x, a)
+        assert sd.element("s^1000000001") == sd.element("s")
+        assert sd.element("s^-6") == sd.element("s^2")
+
 
 class TestCharacterTables:
     @pytest.mark.parametrize("tag", ["c2", "c4", "c8", "v2", "d8", "q8", "sd16"])
@@ -269,6 +280,12 @@ class TestFreeRepresentations:
     def test_cyclic_reps_are_built_once(self):
         assert cyclic_free_rep(8, [1, 3]) is cyclic_free_rep(8, (1, 3))
         assert cyclic_free_rep(8, (1, 3), (2, 0)).chern == (2, 0)
+
+    def test_quaternion_reps_are_built_once(self):
+        assert quaternion_free_rep(3) is quaternion_free_rep(3)
+        assert quaternion_free_rep(3).dimension == 8
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            quaternion_free_rep(-1)
 
     @pytest.mark.parametrize("det_sqrt", [[root_of_unity(4, 0)] * 4,
                                           [root_of_unity(4, 0)] * 6])
