@@ -50,7 +50,6 @@ _CHAR_ALIASES = {
 @dataclass
 class Config:
     degree_bound: int = 64
-    root_order_cap: int = 64
     algebras: dict = field(default_factory=dict)
     steenrod: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
@@ -71,8 +70,7 @@ def load_config(path: Optional[str]) -> Config:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config: {exc.msg} (line {exc.lineno}, column {exc.colno})")
-    cfg = Config(degree_bound=int(data.get("degree_bound", 64)),
-                 root_order_cap=int(data.get("root_order_cap", 64)))
+    cfg = Config(degree_bound=int(data.get("degree_bound", 64)))
     for name, block in data.get("algebras", {}).items():
         gens = [(g[0], int(g[1])) for g in block["generators"]]
         poincare = None
@@ -124,8 +122,16 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip() != "")
 
 
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValidationError(f"zero denominator in {flag} {text.strip()!r}") from None
+
+
 def _parse_fraction_matrix(text: str) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row.split(",")] for row in text.split(";")]
+    return [[_parse_fraction(x, "--matrix") for x in row.split(",")]
+            for row in text.split(";")]
 
 
 def _resolve_algebra(tag: str, cfg: Config) -> PresentedF2Algebra:
@@ -210,9 +216,6 @@ def _cmd_eta(args, cfg: Config) -> int:
         rho = parse_character(character_table("q8"), args.rho)
         spec = ManifoldSpec(quaternion_k=args.k)
     else:
-        if args.l > cfg.root_order_cap:
-            raise ValidationError(f"root order {args.l} exceeds the cap "
-                                  f"{cfg.root_order_cap}")
         rho = parse_character(character_table(f"c{args.l}"), args.rho)
         kind = "bundle" if args.engine == "bundle" else "sphere"
         # `eta cyclic` ignores --chern: sphere-kind specs carry no chern data
@@ -231,7 +234,7 @@ def _cmd_eta(args, cfg: Config) -> int:
 
 def _cmd_order(args, cfg: Config) -> int:
     modulus = Modulus.TWO_Z if args.mod == "2z" else Modulus.Z
-    print(eta_order(Fraction(args.value), modulus))
+    print(eta_order(_parse_fraction(args.value, "--value"), modulus))
     return 0
 
 
@@ -414,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="order of a rational in R/Z or R/2Z")
     p.add_argument("--value", required=True)
     p.add_argument("--mod", choices=("z", "2z"), default="z")
-    add_format(p)
     p.set_defaults(handler=_cmd_order)
 
     p = sub.add_parser("span", help="determinant order certificate for a matrix")
@@ -435,7 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nf", help="normal form in a presented algebra")
     p.add_argument("--algebra", required=True)
     p.add_argument("--expr", required=True)
-    add_format(p)
     p.set_defaults(handler=_cmd_nf)
 
     p = sub.add_parser("basis", help="monomial basis of a graded component")
@@ -449,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--expr", required=True)
     p.add_argument("--branch", choices=("spin", "nonspin"), default="spin")
-    add_format(p)
     p.set_defaults(handler=_cmd_sq)
 
     p = sub.add_parser("wu", help="Wu classes (and optionally Stiefel-Whitney)")

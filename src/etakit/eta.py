@@ -20,6 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exactnum import CyclotomicNumber, root_of_unity
@@ -125,6 +126,12 @@ class ManifoldSpec:
 # -- the Donnelly sum ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _inverse_one_minus_root(n: int, e: int) -> CyclotomicNumber:
+    """(1 - zeta_n^e)^-1 for 0 < e < n, computed once per (n, e)."""
+    return (1 - root_of_unity(n, e)).inverse()
+
+
 def eta_donnelly(tau: FreeUnitaryRep, rho: VirtualCharacter) -> Fraction:
     """|G|^-1 sum over non-identity classes of
     size * Tr(rho) * det_sqrt(tau) / det(I - tau), evaluated exactly.
@@ -144,16 +151,15 @@ def eta_donnelly(tau: FreeUnitaryRep, rho: VirtualCharacter) -> Fraction:
         exps = tau.eigen_exponents[c]
         if any(e % n == 0 for e in exps):
             raise NotFixedPointFreeError(f"unit eigenvalue at class {c}")
-        det = CyclotomicNumber.from_rational(1)
+        term = rho.value_at(c) * tau.det_sqrt[c]
         for e in exps:
-            det = det * (1 - root_of_unity(n, e))
-        term = rho.value_at(c) * tau.det_sqrt[c] / det
+            term = term * _inverse_one_minus_root(n, e % n)
         if tau.chern is not None:
+            # (1 + lambda)/(1 - lambda) = 2 (1 - lambda)^-1 - 1
             factor = CyclotomicNumber.from_rational(0)
             for e, cj in zip(exps, tau.chern):
                 if cj:
-                    lam = root_of_unity(n, e)
-                    factor = factor + Fraction(cj, 2) * (1 + lam) / (1 - lam)
+                    factor = factor + Fraction(cj, 2) * (2 * _inverse_one_minus_root(n, e % n) - 1)
             term = term * factor
         total = total + tau.group.class_sizes[c] * term
     r = (total * Fraction(1, tau.group.order)).as_rational()

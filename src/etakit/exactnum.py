@@ -10,9 +10,12 @@ monic integer Phi_n, which walks the nonzero low terms of Phi_n; for
 n = 2^k that is the single term of x^(n/2) + 1 (negacyclic folding).
 Inverses descend the tower Q(zeta_n) > Q(zeta_(n/2)) while 4 | n: the
 norm x * x(-zeta) has only even powers of zeta, so it lies in the smaller
-field.  When 4 does not divide n, the extended Euclidean algorithm over
-Q[x] is the base case.  Everything is immutable and safe to share between
-threads.
+field.  When 4 does not divide n, the product of the other Galois
+conjugates of x is N(x)/x for the rational norm N(x), and dividing it by
+N(x) gives the inverse.  Phi_n itself comes from exact integer division of
+x^n - 1 by the monic Phi_d of the proper divisors d of n, so `Fraction`
+appears only where values enter or leave the module.  Everything is
+immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -47,89 +50,49 @@ def euler_phi(n: int) -> int:
     return result
 
 
-# -- Fraction polynomials: Phi_n itself and the xgcd base case ---------------
+# -- the integer kernel ------------------------------------------------------
 
 
-def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    while len(num) >= len(den):
-        shift = len(num) - len(den)
-        factor = num[-1] / lead
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        _poly_trim(num)
-    return _poly_trim(quot), num
+def _divide(poly: list[int], deg: int, tail: tuple[tuple[int, int], ...]) -> None:
+    """Divide an integer polynomial (constant term first), in place, by the
+    monic x^deg + sum c_i x^i given by its nonzero (i, c_i), i < deg: the
+    remainder is left in poly[:deg] and the quotient in poly[deg:]."""
+    for k in range(len(poly) - 1, deg - 1, -1):
+        t = poly[k]
+        if t:
+            base = k - deg
+            for i, c in tail:
+                poly[base + i] -= c * t
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_n, constant term first, computed by dividing
-    x^n - 1 by Phi_d for every proper divisor d of n."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_n, constant term first: x^n - 1 divided
+    exactly by the monic Phi_d of every proper divisor d of n."""
     if n < 1:
         raise ValueError("cyclotomic_polynomial requires n >= 1")
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(0)] * (n + 1)
-    num[0] = Fraction(-1)
-    num[n] = Fraction(1)
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            if rem:
+            deg, tail = _field(d)
+            _divide(poly, deg, tail)
+            if any(poly[:deg]):
                 raise InvariantError(f"x^{n} - 1 is not divisible by Phi_{d}")
-    return tuple(num)
-
-
-# -- the integer kernel ------------------------------------------------------
+            del poly[:deg]
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
 def _field(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """phi(n) and the nonzero (i, c_i), i < phi(n), of the monic Phi_n."""
     phi_n = cyclotomic_polynomial(n)
-    return len(phi_n) - 1, tuple((i, int(c)) for i, c in enumerate(phi_n[:-1]) if c)
+    return len(phi_n) - 1, tuple((i, c) for i, c in enumerate(phi_n[:-1]) if c)
 
 
 def _reduce(poly: list[int], n: int) -> tuple[int, ...]:
-    """Integer polynomial (constant term first) mod Phi_n, as phi(n) ints.
-    z^phi = -sum c_i z^i, folded in from the top degree down."""
+    """Integer polynomial (constant term first) mod Phi_n, as phi(n) ints."""
     phi, tail = _field(n)
-    for k in range(len(poly) - 1, phi - 1, -1):
-        t = poly[k]
-        if t:
-            base = k - phi
-            for i, c in tail:
-                poly[base + i] -= c * t
+    _divide(poly, phi, tail)
     if len(poly) < phi:
         poly += [0] * (phi - len(poly))
     return tuple(poly[:phi])
@@ -273,8 +236,8 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Inverse through the norm to Q(zeta_(n/2)) while 4 | n, and by
-        the extended Euclidean algorithm mod Phi_n below that."""
+        """Inverse through the norm to Q(zeta_(n/2)) while 4 | n, and through
+        the norm to Q below that."""
         num, den, n = self._num, self._den, self._n
         if not any(num):
             raise ZeroDivisionError("division by zero in Q(zeta_n)")
@@ -291,18 +254,13 @@ class CyclotomicNumber:
             up = [0] * len(num)
             up[0::2] = inv._num
             return conj * _make(n, tuple(up), inv._den)
-        # xgcd over Q[x]: s*N + t*Phi_n = gcd, a nonzero constant since
-        # Phi_n is irreducible over Q; then self^-1 = den * s / gcd.
-        r0, r1 = list(cyclotomic_polynomial(n)), _poly_trim([Fraction(c) for c in num])
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if len(r0) != 1:
-            raise InvariantError("element not invertible mod Phi_n")
-        inv = [c * den / r0[0] for c in s0]
-        return CyclotomicNumber(n, inv + [0] * (len(num) - len(inv)))
+        # below the tower the other Galois conjugates multiply to N(x)/x,
+        # and the norm N(x) is rational
+        rest = math.prod(self.galois(k) for k in range(2, n) if math.gcd(k, n) == 1)
+        norm = self * rest
+        if any(norm._num[1:]):
+            raise InvariantError("the Galois norm is not rational")
+        return rest * norm.inverse()
 
     def __truediv__(self, other):
         a, b = self._promote(other)

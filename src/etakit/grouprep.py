@@ -163,76 +163,43 @@ def _cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(f"c{n}", names, mult, {"g": 1 % n}, names)
 
 
-def _klein_group() -> FiniteGroup:
-    # elements (a, b) in F2 x F2
-    keys = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    names = ["1", "a", "b", "a*b"]
+def _metacyclic_group(name: str, m: int, r: int, c: int, letters: str,
+                      class_reps: Sequence[str],
+                      names: Optional[Mapping[tuple[int, int], str]] = None) -> FiniteGroup:
+    """s^a t^b (0 <= a < m, b in {0, 1}) with t s t^-1 = s^r and t^2 = s^c,
+    so s^a t * s^e = s^(a + r*e) t.  Elements are named as words in the
+    two letters for s and t unless `names` maps each (a, b) to a name."""
+    keys = [(a, b) for b in range(2) for a in range(m)]
     idx = {k: i for i, k in enumerate(keys)}
-    mult = [[idx[((x1 + x2) % 2, (y1 + y2) % 2)] for (x2, y2) in keys] for (x1, y1) in keys]
-    return FiniteGroup("v2", names, mult, {"a": 1, "b": 2}, names)
-
-
-def _dihedral8_group() -> FiniteGroup:
-    # r^a f^b with f r f = r^-1
-    keys = [(a, b) for b in range(2) for a in range(4)]
-    idx = {k: i for i, k in enumerate(keys)}
+    s, t = letters
 
     def mul(k1, k2):
         (a1, b1), (a2, b2) = k1, k2
-        a = (a1 + (a2 if b1 == 0 else -a2)) % 4
-        return (a, (b1 + b2) % 2)
-
-    def name(k):
-        a, b = k
-        s = "*".join(p for p in (f"r^{a}" if a > 1 else "r" * a, "f" * b) if p)
-        return s or "1"
-
-    names = [name(k) for k in keys]
-    mult = [[idx[mul(k1, k2)] for k2 in keys] for k1 in keys]
-    return FiniteGroup("d8", names, mult, {"r": idx[(1, 0)], "f": idx[(0, 1)]},
-                       ["1", "r^2", "r", "f", "r*f"])
-
-
-def _quaternion8_group() -> FiniteGroup:
-    # i^a j^b with j i j^-1 = i^-1 and j^2 = i^2
-    keys = [(a, b) for b in range(2) for a in range(4)]
-    idx = {k: i for i, k in enumerate(keys)}
-
-    def mul(k1, k2):
-        (a1, b1), (a2, b2) = k1, k2
-        a = (a1 + (a2 if b1 == 0 else -a2)) % 4
-        b = b1 + b2
+        a, b = a1 + (r * a2 if b1 else a2), b1 + b2
         if b == 2:
-            a, b = (a + 2) % 4, 0
-        return (a, b)
+            a, b = a + c, 0
+        return (a % m, b)
 
-    quaternion_names = {(0, 0): "1", (2, 0): "-1", (1, 0): "i", (3, 0): "-i",
-                        (0, 1): "j", (2, 1): "-j", (1, 1): "k", (3, 1): "-k"}
-    names = [quaternion_names[k] for k in keys]
-    mult = [[idx[mul(k1, k2)] for k2 in keys] for k1 in keys]
-    return FiniteGroup("q8", names, mult, {"i": idx[(1, 0)], "j": idx[(0, 1)]},
-                       ["1", "-1", "i", "j", "k"])
-
-
-def _semidihedral16_group() -> FiniteGroup:
-    # s^a t^b with t s t = s^3, so s^a t * s^c = s^(a+3c) t
-    keys = [(a, b) for b in range(2) for a in range(8)]
-    idx = {k: i for i, k in enumerate(keys)}
-
-    def mul(k1, k2):
-        (a1, b1), (a2, b2) = k1, k2
-        a = (a1 + (a2 if b1 == 0 else 3 * a2)) % 8
-        return (a, (b1 + b2) % 2)
-
-    def name(k):
+    def word(k):
         a, b = k
-        s = "*".join(p for p in (f"s^{a}" if a > 1 else "s" * a, "t" * b) if p)
-        return s or "1"
+        w = "*".join(p for p in (f"{s}^{a}" if a > 1 else s * a, t * b) if p)
+        return w or "1"
 
-    names = [name(k) for k in keys]
+    element_names = [names[k] if names else word(k) for k in keys]
     mult = [[idx[mul(k1, k2)] for k2 in keys] for k1 in keys]
-    return FiniteGroup("sd16", names, mult, {"s": idx[(1, 0)], "t": idx[(0, 1)]},
-                       ["1", "s^4", "s", "s^2", "s^5", "t", "t*s"])
+    return FiniteGroup(name, element_names, mult, {s: idx[(1, 0)], t: idx[(0, 1)]},
+                       class_reps)
+
+
+_METACYCLIC = {
+    # tag: (m, r, c, letters, class representatives, element names)
+    "v2": (2, 1, 0, "ab", ("1", "a", "b", "a*b"), None),
+    "d8": (4, -1, 0, "rf", ("1", "r^2", "r", "f", "r*f"), None),
+    "q8": (4, -1, 2, "ij", ("1", "-1", "i", "j", "k"),
+           {(0, 0): "1", (2, 0): "-1", (1, 0): "i", (3, 0): "-i",
+            (0, 1): "j", (2, 1): "-j", (1, 1): "k", (3, 1): "-k"}),
+    "sd16": (8, 3, 0, "st", ("1", "s^4", "s", "s^2", "s^5", "t", "t*s"), None),
+}
 
 
 @lru_cache(maxsize=None)
@@ -244,11 +211,9 @@ def builtin_group(tag: str) -> FiniteGroup:
         if 1 <= n <= 64:
             return _cyclic_group(n)
         raise UnsupportedGroupError(f"cyclic order {n} out of supported range 1..64")
-    builders = {"v2": _klein_group, "d8": _dihedral8_group,
-                "q8": _quaternion8_group, "sd16": _semidihedral16_group}
-    if tag not in builders:
+    if tag not in _METACYCLIC:
         raise UnsupportedGroupError(f"no builtin group {tag!r}")
-    return builders[tag]()
+    return _metacyclic_group(tag, *_METACYCLIC[tag])
 
 
 # -- character tables -------------------------------------------------------

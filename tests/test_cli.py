@@ -158,6 +158,25 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "order", "--value", "-1", "--mod", "2z")
         assert (code, out) == (0, "2\n")
 
+    @pytest.mark.parametrize("argv,err", [
+        (("order", "--value", "1/0"), "--value '1/0'"),
+        (("span", "--matrix", "1,0;0, 1/0"), "--matrix '1/0'"),
+    ], ids=["order", "span"])
+    def test_zero_denominator(self, capsys, argv, err):
+        assert run_cli(capsys, *argv) == (1, "", f"ValidationError: zero denominator in {err}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("order", "--value", "7/8"),
+        ("nf", "--algebra", "sd", "--expr", "x"),
+        ("sq", "--algebra", "sd", "--i", "2", "--expr", "P"),
+    ], ids=["order", "nf", "sq"])
+    def test_verbs_without_format(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
     def test_span(self, capsys):
         _, out, _ = run_cli(capsys, "span", "--matrix", "1,0;0,1")
         assert out == "det = 1 (order 1 mod Z)\n"
@@ -243,8 +262,13 @@ class TestConfig:
         cfg = load_config(str(path))
         assert cfg.degree_bound == 64 and cfg.algebras == {}
 
-    def test_missing_path_gives_defaults(self):
-        assert load_config(None).root_order_cap == 64
+    def test_missing_path_gives_defaults(self, capsys):
+        assert load_config(None).degree_bound == 64
+        # the cyclic order bound is the one of the builtin groups
+        code, out, err = run_cli(capsys, "eta", "cyclic", "--l", "65", "--a", "1,1",
+                                 "--rho", "r0-r1")
+        assert (code, out) == (1, "")
+        assert err == "UnsupportedGroupError: cyclic order 65 out of supported range 1..64\n"
 
     def test_custom_algebra_block(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

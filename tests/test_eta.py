@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etakit import eta
 from etakit.eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
                         eta_donnelly, eta_donnelly_float, eta_of, eta_of_float,
                         eta_order, rational_determinant, recursion_check,
@@ -211,6 +212,26 @@ class TestAgreement:
         self._check(l, kind, data)
 
 
+    def test_one_inverse_per_eigenvalue(self, monkeypatch):
+        # 14 classes of 4 eigenvalues, each with a nonzero Chern number, but
+        # only 14 distinct eigenvalues 1 - zeta_15^e to invert, once each
+        rep = cyclic_free_rep(15, (1, 7, 11, 13), (1, -1, 2, 3))
+        chi = character_table("c15").irreducible("r1") - character_table("c15").trivial()
+        inverted = []
+        inverse = CyclotomicNumber.inverse
+
+        def counted(x):  # the rational norms inverted on the way are not counted
+            if x.as_rational() is None:
+                inverted.append(x.coeffs)
+            return inverse(x)
+        monkeypatch.setattr(CyclotomicNumber, "inverse", counted)
+        eta._inverse_one_minus_root.cache_clear()
+        value = eta_donnelly(rep, chi)
+        assert sorted(inverted) == sorted((1 - root_of_unity(15, e)).coeffs
+                                          for e in range(1, 15))
+        assert abs(float(value) - eta_donnelly_float(rep, chi)) < 1e-9
+
+
 class TestSymmetries:
     @settings(max_examples=25, deadline=None)
     @given(a=st.lists(st.sampled_from((1, 3, 5, 7)), min_size=2, max_size=6)
@@ -253,8 +274,9 @@ class TestFloatOracle:
     @given(l=st.sampled_from((12, 15, 24)), kind=st.sampled_from(("sphere", "bundle")),
            data=st.data())
     def test_composite_orders(self, l, kind, data):
-        # 12 and 24 invert down the norm tower to the xgcd base case at
-        # order 6; 15 is a base case itself
+        # 12 and 24 invert down the norm tower to the base case at order 6,
+        # the product of the other Galois conjugates over the rational norm;
+        # 15 is a base case itself
         units = [u for u in range(1, l, 2) if math.gcd(u, l) == 1]
         a = data.draw(st.lists(st.sampled_from(units), min_size=2, max_size=4)
                       .filter(lambda v: len(v) % 2 == 0))

@@ -8,7 +8,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etakit.exactnum import (CyclotomicNumber, cyclotomic_polynomial,
+from etakit import exactnum
+from etakit.exactnum import (CyclotomicNumber, InvariantError, cyclotomic_polynomial,
                              euler_phi, parse_cyclotomic, root_of_unity)
 
 
@@ -309,7 +310,30 @@ def test_matches_fraction_kernel(operands, data):
     assert x.galois(k).coeffs == _ref_galois(n, a, k)
 
 
-@pytest.mark.parametrize("n", [12, 20, 24, 64])
+def test_cyclotomic_polynomial_matches_fraction_division():
+    for n in range(1, 65):
+        assert cyclotomic_polynomial(n) == _ref_phi_poly(n), n
+
+
+def test_cyclotomic_polynomial_checks_the_remainder(monkeypatch):
+    # dividing by a wrong Phi_d (here x - 2) must leave a remainder
+    monkeypatch.setattr(exactnum, "_field", lambda d: (1, ((0, -2),)))
+    with pytest.raises(InvariantError):
+        cyclotomic_polynomial.__wrapped__(6)
+
+
+@pytest.mark.parametrize("n,k", [(12, 5), (9, 1), (15, 2)], ids=["tower", "base-9", "base-15"])
+def test_inverse_checks_the_norm(monkeypatch, n, k):
+    # with a broken Galois action the norm leaves its subfield
+    x = 1 - root_of_unity(n, k)
+    monkeypatch.setattr(CyclotomicNumber, "galois", lambda self, j: self)
+    with pytest.raises(InvariantError):
+        x.inverse()
+
+
+# 9, 15, 30 and 31 are base cases (4 does not divide them); 12, 20, 24 and
+# 64 descend the tower first
+@pytest.mark.parametrize("n", [9, 12, 15, 20, 24, 30, 31, 64])
 def test_tower_inverse_of_roots_and_differences(n):
     # 1 - zeta^k is a unit or a prime power element; both must invert exactly
     for k in range(1, n):

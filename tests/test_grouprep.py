@@ -35,6 +35,23 @@ class TestBuiltinGroups:
         assert sd.power(s, 8) == 0 and sd.power(t, 2) == 0
         assert sd.mul(sd.mul(t, s), t) == sd.power(s, 3)
 
+    @pytest.mark.parametrize("tag,letters,m,r,c,names", [
+        ("v2", "ab", 2, 1, 0, ("1", "a", "b", "a*b")),
+        ("d8", "rf", 4, -1, 0, ("1", "r", "r^2", "r^3", "f", "r*f", "r^2*f", "r^3*f")),
+        ("q8", "ij", 4, -1, 2, ("1", "i", "-1", "-i", "j", "k", "-j", "-k")),
+        ("sd16", "st", 8, 3, 0, ("1", "s") + tuple(f"s^{a}" for a in range(2, 8))
+         + ("t", "s*t") + tuple(f"s^{a}*t" for a in range(2, 8))),
+    ])
+    def test_metacyclic_presentations(self, tag, letters, m, r, c, names):
+        # s^a t^b with t s t^-1 = s^r and t^2 = s^c, elements listed a first
+        g = builtin_group(tag)
+        assert g.element_names == names and list(g.generators) == list(letters)
+        s, t = (g.generators[x] for x in letters)
+        assert (s, t) == (1, m)
+        assert g.element_order(s) == m
+        assert g.mul(g.mul(t, s), g.inv(t)) == g.power(s, r)
+        assert g.power(t, 2) == g.power(s, c)
+
     def test_cyclic_classes_are_singletons(self):
         c8 = builtin_group("c8")
         assert c8.class_sizes == (1,) * 8
