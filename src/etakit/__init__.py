@@ -13,10 +13,9 @@ from .grouprep import (CharacterTable, FiniteGroup, FreeUnitaryRep,
                        is_quaternion_type, is_real_type, quaternion_free_rep,
                        restrict_virtual)
 from .eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
-                  NonRationalSumError, NotFixedPointFreeError, eta_donnelly,
-                  eta_donnelly_float, eta_of, eta_of_float, eta_order,
-                  manifold_free_rep, rational_determinant, recursion_check,
-                  span_order_lower_bound, thm31_modulus)
+                  NonRationalSumError, eta_donnelly, eta_donnelly_float,
+                  eta_of, eta_of_float, eta_order, rational_determinant,
+                  recursion_check, span_order_lower_bound, thm31_modulus)
 from .f2ring import (DegeneratePairingError, DegreeBoundExceededError,
                      F2AlgebraElement, F2ParseError, GradedHom,
                      InconsistentSteenrodDataError,

@@ -30,7 +30,7 @@ from .f2ring import (F2ParseError, PresentedF2Algebra, SteenrodData,
                      semidihedral_steenrod, stiefel_whitney, wu_classes)
 from .grouprep import (CharacterTable, InclusionMap, ValidationError,
                        VirtualCharacter, builtin_group, character_table,
-                       inclusion_from_json, restrict_virtual, table_from_json)
+                       restrict_virtual, table_from_json)
 from .infix import parse_infix
 
 
@@ -53,7 +53,6 @@ class Config:
     algebras: dict = field(default_factory=dict)
     steenrod: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
-    inclusions: dict = field(default_factory=dict)
 
 
 def load_config(path: Optional[str]) -> Config:
@@ -92,8 +91,6 @@ def load_config(path: Optional[str]) -> Config:
             cfg.steenrod[name] = SteenrodData(alg, table)
     for name, block in data.get("tables", {}).items():
         cfg.tables[name] = table_from_json(block)
-    for name, block in data.get("inclusions", {}).items():
-        cfg.inclusions[name] = inclusion_from_json(block)
     return cfg
 
 
@@ -221,6 +218,8 @@ def _cmd_eta(args, cfg: Config) -> int:
         # `eta cyclic` ignores --chern: sphere-kind specs carry no chern data
         chern = _parse_int_tuple(args.chern) if kind == "bundle" and args.chern else None
         spec = ManifoldSpec(lens=LensSpec(args.l, _parse_int_tuple(args.a), kind, chern))
+        if rho.dim != 0:  # a lens-space order needs a reduced character
+            raise ValueError("lens-space eta requires a virtual dimension zero character")
     value, float_value = eta_of(spec, rho), eta_of_float(spec, rho)
     if args.mod == "z":
         modulus = Modulus.Z

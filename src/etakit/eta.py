@@ -5,7 +5,10 @@ the non-identity classes of a fixed-point-free representation, in
 Q(zeta_n).  A lens space is the case G = C_l with the representation
 `cyclic_free_rep` builds from its weights; a lens-space bundle over S^2
 adds the Chern numbers of its line bundles, which multiply each summand by
-the bundle factor.  A total that is not rational raises
+the bundle factor.  `eta_of` evaluates a `ManifoldSpec` against any
+virtual character of its group, or of its inclusion's target: the
+character may have nonzero dimension, since a difference of manifolds is
+the difference of their values.  A total that is not rational raises
 `NonRationalSumError`; values reduce to orders in R/Z or R/2Z.
 `eta_donnelly_float` and the weight-tuple formula behind `eta_of_float`
 are the double-precision mirrors.  Bordism never appears: a manifold is
@@ -27,10 +30,6 @@ from .exactnum import CyclotomicNumber, root_of_unity
 from .grouprep import (FreeUnitaryRep, InclusionMap, VirtualCharacter,
                        character_table, cyclic_free_rep, is_quaternion_type,
                        is_real_type, quaternion_free_rep, restrict_virtual)
-
-
-class NotFixedPointFreeError(ValueError):
-    pass
 
 
 class NonRationalSumError(ArithmeticError):
@@ -111,7 +110,6 @@ class ManifoldSpec:
     quaternion_k: Optional[int] = None
     inclusion: Optional[InclusionMap] = None
     bott_power: int = 0
-    label: str = ""
 
     def __post_init__(self):
         if (self.lens is None) == (self.quaternion_k is None):
@@ -149,17 +147,15 @@ def eta_donnelly(tau: FreeUnitaryRep, rho: VirtualCharacter) -> Fraction:
     total = CyclotomicNumber.from_rational(0)
     for c in range(1, len(tau.group.classes)):
         exps = tau.eigen_exponents[c]
-        if any(e % n == 0 for e in exps):
-            raise NotFixedPointFreeError(f"unit eigenvalue at class {c}")
         term = rho.value_at(c) * tau.det_sqrt[c]
         for e in exps:
-            term = term * _inverse_one_minus_root(n, e % n)
+            term = term * _inverse_one_minus_root(n, e)
         if tau.chern is not None:
             # (1 + lambda)/(1 - lambda) = 2 (1 - lambda)^-1 - 1
             factor = CyclotomicNumber.from_rational(0)
             for e, cj in zip(exps, tau.chern):
                 if cj:
-                    factor = factor + Fraction(cj, 2) * (2 * _inverse_one_minus_root(n, e % n) - 1)
+                    factor = factor + Fraction(cj, 2) * (2 * _inverse_one_minus_root(n, e) - 1)
             term = term * factor
         total = total + tau.group.class_sizes[c] * term
     r = (total * Fraction(1, tau.group.order)).as_rational()
@@ -186,18 +182,21 @@ def eta_donnelly_float(tau: FreeUnitaryRep, rho: VirtualCharacter) -> float:
 
 def _lens_float(spec: LensSpec, rho: VirtualCharacter) -> float:
     l, half = spec.l, sum(spec.a) // 2
+
+    def root(e: int) -> complex:  # exponents reduced first: powers lose digits
+        return cmath.exp(2j * cmath.pi * (e % l) / l)
+
     total = 0j
     for k in range(1, l):
-        lam = cmath.exp(2j * cmath.pi * k / l)
-        f = lam ** half
+        f = root(k * half)
         for aj in spec.a:
-            f /= 1 - lam ** aj
+            f /= 1 - root(k * aj)
         if spec.kind == "bundle":
             factor = 0j
             for aj, cj in zip(spec.a, spec.chern):
-                factor += 0.5 * cj * (1 + lam ** aj) / (1 - lam ** aj)
+                factor += 0.5 * cj * (1 + root(k * aj)) / (1 - root(k * aj))
             f *= factor
-        trace = sum(c * lam ** j for j, c in enumerate(rho.coeffs))
+        trace = sum(c * root(k * j) for j, c in enumerate(rho.coeffs))
         total += f * trace
     return (total / l).real
 
@@ -206,28 +205,22 @@ def _lens_float(spec: LensSpec, rho: VirtualCharacter) -> float:
 
 
 def eta_of(manifold: ManifoldSpec, rho: VirtualCharacter) -> Fraction:
-    """Eta of the manifold against rho, restricting rho along the declared
-    inclusion first (naturality); Bott factors do not change the value."""
+    """Eta of the manifold against any virtual character rho on its group
+    (or on the inclusion's target, restricting along it first: naturality).
+    rho may have nonzero dimension: a difference of two manifolds is the
+    difference of their values.  Bott factors do not change the value."""
     if manifold.inclusion is not None:
         if rho.group is not manifold.inclusion.target:
             raise ValueError("character must live on the inclusion's target group")
         rho = restrict_virtual(rho, manifold.inclusion)
-    tau = manifold_free_rep(manifold)
-    if manifold.lens is not None:
+    lens = manifold.lens
+    if lens is None:
+        tau = quaternion_free_rep(manifold.quaternion_k)
+    else:
+        tau = cyclic_free_rep(lens.l, lens.a, lens.chern)
         if rho.group is not tau.group:
-            raise ValueError(f"character must live on C_{manifold.lens.l}")
-        if rho.dim != 0:
-            raise ValueError("lens-space eta requires a virtual dimension zero character")
+            raise ValueError(f"character must live on C_{lens.l}")
     return eta_donnelly(tau, rho)
-
-
-def manifold_free_rep(manifold: ManifoldSpec) -> FreeUnitaryRep:
-    """The defining fixed-point-free representation of the manifold, with
-    the line-bundle Chern numbers for a bundle-kind lens space; feeding it
-    to `eta_donnelly` permits evaluating non-reduced characters."""
-    if manifold.quaternion_k is not None:
-        return quaternion_free_rep(manifold.quaternion_k)
-    return cyclic_free_rep(manifold.lens.l, manifold.lens.a, manifold.lens.chern)
 
 
 def eta_of_float(manifold: ManifoldSpec, rho: VirtualCharacter) -> float:

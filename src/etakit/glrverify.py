@@ -19,9 +19,8 @@ from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from . import f2ring
-from .eta import (LensSpec, ManifoldSpec, Modulus, eta_donnelly, eta_of,
-                  eta_order, manifold_free_rep, span_order_lower_bound,
-                  thm31_modulus)
+from .eta import (LensSpec, ManifoldSpec, Modulus, eta_of, eta_order,
+                  span_order_lower_bound, thm31_modulus)
 from .f2ring import (circle_bundle_cohomology, circle_bundle_steenrod,
                      circle_bundle_to_lens, d8_to_v2_restriction,
                      dihedral_cohomology, dual_pushforward_map, gf2_echelon,
@@ -183,36 +182,29 @@ def _recursion_tuple(m: int, base: tuple[int, ...]) -> tuple[int, ...]:
     return base + (1, 1, 5, 5) * m
 
 
+def _two_minus_tau(power: int) -> VirtualCharacter:
+    return (2 - character_table("q8").irreducible("tau")) ** power
+
+
 def _quaternion_eta(k: int, power: int) -> Fraction:
-    tq8 = character_table("q8")
-    chi = (2 - tq8.irreducible("tau")) ** power
-    return eta_of(ManifoldSpec(quaternion_k=k), chi)
+    return eta_of(ManifoldSpec(quaternion_k=k), _two_minus_tau(power))
 
 
 def quaternion_certificate_matrix(m: int, residue: int) -> list[list[Fraction]]:
     """The determinant certificate for dimension 8m+residue (residue 3 or 7):
-    columns are the quaternion quotient in that dimension and its Bott
-    partner 8 below; rows are powers of (2 - tau), normalized."""
-    tq8 = character_table("q8")
-    tau = tq8.irreducible("tau")
+    columns are the quaternion quotient in that dimension and the Bott
+    product of the one 8 below; rows are powers of (2 - tau), normalized."""
     if residue == 3:
-        ks = [2 * m, 2 * m - 2]
-        powers = [1, 2]
-        dim = 8 * m + 3
+        k, powers = 2 * m, [1, 2]
     elif residue == 7:
-        ks = [2 * m + 1, 2 * m - 1]
-        powers = [1, 3]
-        dim = 8 * m + 7
+        k, powers = 2 * m + 1, [1, 3]
     else:
         raise ValueError("residue must be 3 or 7")
-    if m == 0:
-        ks, powers = ks[:1], powers[:1]
-    rows = []
-    for p in powers:
-        chi = (2 - tau) ** p
-        factor = Fraction(1, 2) if thm31_modulus(dim, chi) is Modulus.TWO_Z else Fraction(1)
-        rows.append([_quaternion_eta(k, p) * factor for k in ks])
-    return rows
+    columns = [ManifoldSpec(quaternion_k=k)]
+    if m > 0:
+        columns.append(ManifoldSpec(quaternion_k=k - 2, bott_power=1))
+    return [[normalized_entry(col, _two_minus_tau(p)) for col in columns]
+            for p in powers[:len(columns)]]
 
 
 # -- verifiers -----------------------------------------------------------------
@@ -248,16 +240,6 @@ def verify_q8_orders(m_max: int = 3) -> list[ClaimResult]:
     return out
 
 
-def _difference_eta(m1: ManifoldSpec, m2: ManifoldSpec, chi: VirtualCharacter) -> Fraction:
-    # through the Donnelly engine: the individual restrictions may be
-    # non-reduced; only the difference carries order semantics
-    values = []
-    for m in (m1, m2):
-        rho = restrict_virtual(chi, m.inclusion) if m.inclusion is not None else chi
-        values.append(eta_donnelly(manifold_free_rep(m), rho))
-    return values[0] - values[1]
-
-
 def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
     """The odd-dimensional span matrix over the semi-dihedral group: every
     named cell recomputed by restriction and naturality, the column
@@ -280,19 +262,17 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
     for m in range(m_max + 1):
         n3, n7 = 8 * m + 3, 8 * m + 7
         # manifolds included into the ambient group
-        lens_row = ManifoldSpec(lens=LensSpec(8, _recursion_tuple(m, (1, 1))),
-                                inclusion=c8_in_sd, label=f"L^{n3}")
-        rp_row = ManifoldSpec(lens=LensSpec(2, (1,) * (4 * m + 2)),
-                              inclusion=c2_in_sd, label=f"RP^{n3}")
+        lens_row = ManifoldSpec(lens=LensSpec(8, _recursion_tuple(m, (1, 1))), inclusion=c8_in_sd)
+        rp_row = ManifoldSpec(lens=LensSpec(2, (1,) * (4 * m + 2)), inclusion=c2_in_sd)
         m1_row = ManifoldSpec(lens=LensSpec(4, (1,) * (4 * m + 2)),
-                              inclusion=c4_in_q8_i.then(q8_in_sd), label="M1")
+                              inclusion=c4_in_q8_i.then(q8_in_sd))
         m2_row = ManifoldSpec(lens=LensSpec(4, (1,) * (4 * m + 2)),
-                              inclusion=c4_in_q8_j.then(q8_in_sd), label="M2")
-        mq_row = ManifoldSpec(quaternion_k=2 * m, inclusion=q8_in_sd,
-                              label=f"M_Q^{n3}")
+                              inclusion=c4_in_q8_j.then(q8_in_sd))
+        mq_row = ManifoldSpec(quaternion_k=2 * m, inclusion=q8_in_sd)
 
         # kappa identity: rho2 against M1 - M2, refined range in dim 8m+3
-        kval3 = _difference_eta(m1_row, m2_row, tsd.irreducible("rho2"))
+        rho2 = tsd.irreducible("rho2")
+        kval3 = eta_of(m1_row, rho2) - eta_of(m2_row, rho2)
         out.append(claim(f"sd.m{m}.kappa_value3",
                          "|eta(M1-M2)(rho2)| = 2^-(2m+1) in dim 8m+3",
                          Fraction(1, 2 ** (2 * m + 1)), abs(kval3)))
@@ -303,7 +283,7 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
                                inclusion=c4_in_q8_i.then(q8_in_sd))
         m2_row7 = ManifoldSpec(lens=LensSpec(4, (1,) * (4 * m + 4)),
                                inclusion=c4_in_q8_j.then(q8_in_sd))
-        kval7 = _difference_eta(m1_row7, m2_row7, tsd.irreducible("rho2"))
+        kval7 = eta_of(m1_row7, rho2) - eta_of(m2_row7, rho2)
         out.append(claim(f"sd.m{m}.kappa_value7",
                          "|eta(M1-M2)(rho2)| = 2^-(2m+2) in dim 8m+7",
                          Fraction(1, 2 ** (2 * m + 2)), abs(kval7)))
@@ -373,8 +353,7 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
                          (2 ** (8 + 12 * m) * 2 ** m, table_ko_order(n3))))
 
         # order accounting in dim 8m+7
-        rp_row7 = ManifoldSpec(lens=LensSpec(2, (1,) * (4 * m + 4)),
-                               inclusion=c2_in_sd, label=f"RP^{n7}")
+        rp_row7 = ManifoldSpec(lens=LensSpec(2, (1,) * (4 * m + 4)), inclusion=c2_in_sd)
         rp7 = eta_of(rp_row7, cols[2][1])
         out.append(claim(f"sd.m{m}.RP_order7", "projective class order 2^(4m+4) in R/Z",
                          2 ** (4 * m + 4), eta_order(rp7, Modulus.Z)))
@@ -383,11 +362,10 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
                          "2^(4m+4) * 2^(2m+1) * 8^(2m+2) = 2^(11+12m)",
                          2 ** (11 + 12 * m),
                          2 ** (4 * m + 4) * 2 ** (2 * m + 1) * det7))
-        lens7 = ManifoldSpec(lens=LensSpec(8, _recursion_tuple(m, (1, 1, 1, 1))),
-                             inclusion=c8_in_sd, label=f"L^{n7}")
+        lens7 = ManifoldSpec(lens=LensSpec(8, _recursion_tuple(m, (1, 1, 1, 1))))
         tc8 = character_table("c8")
         doubled = 2 * (tc8.irreducible("r4") - tc8.irreducible("r0"))
-        quat_val = eta_of(ManifoldSpec(lens=lens7.lens), doubled)
+        quat_val = eta_of(lens7, doubled)
         out.append(claim(f"sd.m{m}.quat_factor7",
                          "eta(L^(8m+7))(2r4-2r0) keeps order 2^(m+1) in R/2Z "
                          "(a doubled real character is quaternionic)",

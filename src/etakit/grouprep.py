@@ -308,12 +308,12 @@ class CharacterTable:
     @cached_property
     def _reality(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The Frobenius-Schur indicator and the conjugate-partner index of
-        every irreducible, computed once per table."""
-        indicators = tuple(frobenius_schur(self.irreducible(name))
-                           for name in self.irreducible_names)
-        # a character with a nonzero indicator is real-valued: its own partner
-        partners = tuple(self.conjugate_partner(i) if fs == 0 else i
-                         for i, fs in enumerate(indicators))
+        every irreducible, computed once per table.  An irreducible has a
+        nonzero indicator exactly when it is its own partner, so only those
+        rows are summed over the group."""
+        partners = tuple(self.conjugate_partner(i) for i in range(len(self.rows)))
+        indicators = tuple(frobenius_schur(self.irreducible(name)) if partners[i] == i else 0
+                           for i, name in enumerate(self.irreducible_names))
         return indicators, partners
 
 

@@ -123,6 +123,13 @@ class TestEtaCommand:
         assert code == 1
         assert "NotFreeError" in err
 
+    def test_virtual_dimension_zero_required(self, capsys):
+        for flags in ((), ("--float",)):
+            code, out, err = run_cli(capsys, "eta", "cyclic", "--l", "8", "--a", "1,1",
+                                     "--rho", "r1", *flags)
+            assert (code, out) == (1, "")
+            assert err == "ValueError: lens-space eta requires a virtual dimension zero character\n"
+
     def test_weights_not_coprime_to_l(self, capsys):
         code, out, err = run_cli(capsys, "eta", "cyclic", "--l", "6",
                                  "--a", "3,3", "--rho", "r1-r0")
@@ -323,13 +330,13 @@ class TestConfig:
                     {"name": name, "values": [str(v) for v in row]}
                     for name, row in zip(t.irreducible_names, t.rows)],
             }},
+            # no verb reads inclusions: the key is ignored like any other
             "inclusions": {"c2sd": {"source": "c2", "target": "sd16",
                                     "images": {"g": "t"}}},
         }))
         cfg = load_config(str(path))
         assert "proj" in cfg.steenrod
         assert cfg.tables["mine"].irreducible_names == t.irreducible_names
-        assert cfg.inclusions["c2sd"].target.name == "sd16"
         code, out, _ = run_cli(capsys, "--config", str(path), "sq",
                                "--algebra", "custom:proj", "--i", "1",
                                "--expr", "e")

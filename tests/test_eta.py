@@ -48,6 +48,18 @@ def reference_lens_sum(spec, rho):
     return r
 
 
+def check_lens_value(spec, chi):
+    """The engine against the exact reference, and both float mirrors
+    against the value and each other to 1e-9."""
+    value = lens_eta(spec, chi)
+    assert value == reference_lens_sum(spec, chi)
+    approx = eta_of_float(ManifoldSpec(lens=spec), chi)
+    assert abs(float(value) - approx) < 1e-9
+    # the float mirror of the engine, on the representation itself
+    rep = cyclic_free_rep(spec.l, spec.a, spec.chern)
+    assert abs(eta_donnelly_float(rep, chi) - approx) < 1e-9
+
+
 def c8_char(expr_j, minus_j=None):
     t = character_table("c8")
     chi = t.irreducible(f"r{expr_j}")
@@ -126,10 +138,14 @@ class TestLensValues:
         with pytest.raises(OddLengthError):
             LensSpec(8, (1, 1, 5))
 
-    def test_virtual_dimension_zero_required(self):
+    @pytest.mark.parametrize("kind,chern", [("sphere", None), ("bundle", (1, -2, 0, 3))])
+    def test_nonzero_dimension_is_the_donnelly_sum(self, kind, chern):
+        # the dimension-zero rule belongs to the CLI's order display, not to eta_of
         t = character_table("c8")
-        with pytest.raises(ValueError, match="requires a virtual dimension zero character"):
-            lens_eta(LensSpec(8, (1, 1)), t.irreducible("r0"))
+        spec = LensSpec(8, (1, 3, 5, 7), kind, chern)
+        for chi in (t.irreducible("r0"), 2 * t.irreducible("r3") + t.irreducible("r4")):
+            assert chi.dim != 0
+            assert lens_eta(spec, chi) == eta_donnelly(cyclic_free_rep(8, spec.a, spec.chern), chi)
 
     def test_character_must_live_on_the_cyclic_group(self):
         t = character_table("c16")
@@ -190,20 +206,24 @@ class TestAgreement:
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=l, max_size=l))
         coeffs[0] -= sum(coeffs)  # virtual dimension zero
         chi = VirtualCharacter(character_table(f"c{l}"), coeffs)
-        spec = LensSpec(l, tuple(a), kind, chern)
-        value = lens_eta(spec, chi)
-        assert value == reference_lens_sum(spec, chi)
-        approx = eta_of_float(ManifoldSpec(lens=spec), chi)
-        assert abs(float(value) - approx) < 1e-9
-        # the float mirror of the engine, on the representation itself
-        rep = cyclic_free_rep(l, spec.a, spec.chern)
-        assert abs(eta_donnelly_float(rep, chi) - approx) < 1e-9
+        check_lens_value(LensSpec(l, tuple(a), kind, chern), chi)
 
     @settings(max_examples=40, deadline=None)
     @given(l=st.integers(2, 32), kind=st.sampled_from(("sphere", "bundle")),
            data=st.data())
     def test_against_reference(self, l, kind, data):
         self._check(l, kind, data)
+
+    def test_float_mirror_reduces_exponents(self):
+        # found by hypothesis: raising lambda to the unreduced weights and to
+        # sum(a)/2 = 59 put the mirror 1.0e-9 away from the exact value
+        coeffs = [2, -1, -2, 0, 2, 2, -1, 3, 0, -3, 3, 1, 3, -1, 0,
+                  3, -3, 2, 0, -3, 0, 2, 2, 2, 0, 0, 0, 0, 3, 0]
+        coeffs[0] -= sum(coeffs)
+        chi = VirtualCharacter(character_table("c30"), coeffs)
+        spec = LensSpec(30, (11, 11, 11, 1, 41, 41), "bundle", (0, 1, -1, -3, 3, 1))
+        assert lens_eta(spec, chi) == Fraction(249737, 50)
+        check_lens_value(spec, chi)
 
     @pytest.mark.parametrize("l", [6, 12, 15, 24])
     @settings(max_examples=8, deadline=None)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from etakit import glrverify
 from etakit.glrverify import (SUITES, choose_q8_labeling, kerap_lookup,
-                              klein_psc_generators,
+                              klein_psc_generators, normalized_entry,
                               quaternion_certificate_matrix, run_report,
                               table_ko_order, verify_prop41, verify_prop51,
                               verify_prop53, verify_q8_orders)
@@ -123,6 +124,21 @@ class TestCertificateMatrix:
     def test_m1_shape(self):
         rows = quaternion_certificate_matrix(1, 3)
         assert len(rows) == 2 and len(rows[0]) == 2
+
+    @pytest.mark.parametrize("residue", [3, 7])
+    def test_bott_partner_keeps_the_dimension(self, monkeypatch, residue):
+        # one refined range per row: both columns live in dimension 8m + residue
+        seen = []
+
+        def recorded(manifold, chi):
+            seen.append(manifold)
+            return normalized_entry(manifold, chi)
+        monkeypatch.setattr(glrverify, "normalized_entry", recorded)
+        quaternion_certificate_matrix(2, residue)
+        first, partner = seen[0], seen[1]
+        assert (first.bott_power, partner.bott_power) == (0, 1)
+        assert partner.quaternion_k == first.quaternion_k - 2
+        assert {m.dimension for m in seen} == {16 + residue}
 
 
 class TestProp41Guards:

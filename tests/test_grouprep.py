@@ -188,6 +188,21 @@ class TestRealityTypes:
             is_quaternion_type(chi)
         assert len(calls) == len(t.rows)
 
+    def test_indicators_only_for_real_valued_rows(self, monkeypatch):
+        # of the 64 characters of C_64 only r0 and r32 are their own conjugates
+        c64 = character_table("c64")
+        t = CharacterTable(c64.group, c64.irreducible_names, c64.rows, validate=False)
+        calls = []
+
+        def counted(chi):
+            calls.append(str(chi))
+            return frobenius_schur(chi)
+        monkeypatch.setattr(grouprep, "frobenius_schur", counted)
+        indicators, partners = t._reality
+        assert calls == ["r0", "r32"]
+        assert partners == tuple((64 - j) % 64 for j in range(64))
+        assert indicators == tuple(1 if j in (0, 32) else 0 for j in range(64))
+
     def test_two_minus_tau_family(self):
         t = character_table("q8")
         tau = t.irreducible("tau")
