@@ -292,6 +292,12 @@ class CyclotomicNumber:
 
     __hash__ = None  # mixed-order equality makes a consistent hash awkward
 
+    def key_at(self, order: int) -> tuple[int, tuple[int, ...]]:
+        """A hashable key of the value in Q(zeta_order), for self.order |
+        order: at one order, two values are equal iff their keys are."""
+        x = self.embed(order)
+        return x._den, x._num
+
     # -- structure maps --------------------------------------------------
 
     def galois(self, k: int) -> "CyclotomicNumber":

@@ -203,6 +203,8 @@ class PresentedF2Algebra:
         # with no rules yet, parsing yields raw free-algebra polynomials
         self._rules: list[tuple[Monomial, frozenset]] = []
         self._truncated = False
+        # normal form of each raw monomial, filled once the rules are final
+        self._nf_cache: Optional[dict[Monomial, frozenset]] = None
         self.raw_relations = tuple(self._coerce_relation(r) for r in relations)
         for r in self.raw_relations:
             degs = {self.monomial_degree(m) for m in r}
@@ -210,6 +212,7 @@ class PresentedF2Algebra:
                 raise ValueError(f"relation {sorted(r)} is not homogeneous")
         top_mon = None if poincare is None else self._single_monomial(poincare[1])
         self._complete_rewriting_system()
+        self._nf_cache = {}
         self._basis_cache: dict[int, list[Monomial]] = {}
         self.poincare: Optional[tuple[int, Monomial]] = None
         if poincare is not None:
@@ -307,11 +310,18 @@ class PresentedF2Algebra:
         return frozenset(done)
 
     def _reduce_monomial(self, raw: Monomial) -> frozenset:
-        deg = self.monomial_degree(raw)
-        if deg > self.degree_bound and self._truncated:
-            raise DegreeBoundExceededError(
-                f"degree {deg} exceeds the completion bound {self.degree_bound}")
-        return self._reduce_poly({raw})
+        if self._truncated:
+            deg = self.monomial_degree(raw)
+            if deg > self.degree_bound:
+                raise DegreeBoundExceededError(
+                    f"degree {deg} exceeds the completion bound {self.degree_bound}")
+        cache = self._nf_cache
+        if cache is None:
+            return self._reduce_poly({raw})
+        nf = cache.get(raw)
+        if nf is None:
+            nf = cache[raw] = self._reduce_poly({raw})
+        return nf
 
     # -- public surface ------------------------------------------------------------
 
@@ -350,33 +360,78 @@ class PresentedF2Algebra:
 
     def graded_basis(self, n: int) -> list[Monomial]:
         """Normal-form monomials of degree n, in descending graded-lex order
-        on the exponents (generator-listing order)."""
+        on the exponents (generator-listing order).
+
+        They are enumerated directly under the staircase of the rule leads:
+        a depth-first search assigns exponents generator by generator, tests
+        each lead once the last generator it involves has an exponent, and
+        stops raising that exponent as soon as a lead divides the prefix,
+        since every larger exponent is divisible too."""
         if n < 0:
             return []
         if n > self.degree_bound:
             raise DegreeBoundExceededError(f"degree {n} exceeds bound {self.degree_bound}")
         if n not in self._basis_cache:
-            leads = [lead for lead, _ in self._rules]
-            out = [m for m in self._free_monomials(n)
-                   if not any(all(a <= b for a, b in zip(lead, m)) for lead in leads)]
+            out = self._normal_monomials(n)
             out.sort(reverse=True)
             self._basis_cache[n] = out
         return list(self._basis_cache[n])
 
-    def _free_monomials(self, n: int) -> list[Monomial]:
+    def _normal_monomials(self, n: int) -> list[Monomial]:
         degs = self.gen_degrees
+        last = len(degs) - 1
+        closing: list[list[Monomial]] = [[] for _ in degs]  # leads by last generator
+        for lead, _ in self._rules:
+            support = [j for j, e in enumerate(lead) if e]
+            if not support:
+                return []  # 1 is a lead: the quotient is zero
+            closing[support[-1]].append(lead)
+        if last < 0:
+            return [()] if n == 0 else []
+        prefix = [0] * len(degs)
+        out: list[Monomial] = []
 
-        def rec(i: int, remaining: int):
-            if i == len(degs):
-                if remaining == 0:
-                    yield ()
-                return
+        def divisible(leads) -> bool:
+            return any(all(a <= b for a, b in zip(lead, prefix)) for lead in leads)
+
+        def walk(i: int, remaining: int) -> None:
             step = degs[i]
-            for e in range(remaining // step + 1):
-                for rest in rec(i + 1, remaining - e * step):
-                    yield (e,) + rest
+            if i == last:
+                if remaining % step == 0:
+                    prefix[i] = remaining // step
+                    if not divisible(closing[i]):
+                        out.append(tuple(prefix))
+            else:
+                for e in range(remaining // step + 1):
+                    prefix[i] = e
+                    if divisible(closing[i]):
+                        break
+                    walk(i + 1, remaining - e * step)
+            prefix[i] = 0
 
-        return list(rec(0, n))
+        walk(0, n)
+        return out
+
+    def _free_monomials(self, n: int) -> list[Monomial]:
+        """Every exponent tuple of degree n, in ascending lexicographic order;
+        an explicit-stack loop that shares no code with `graded_basis`."""
+        degs = self.gen_degrees
+        if not degs:
+            return [()] if n == 0 else []
+        last = len(degs) - 1
+        out: list[Monomial] = []
+        stack: list[tuple[Monomial, int]] = [((), n)]
+        while stack:
+            prefix, remaining = stack.pop()
+            step = degs[len(prefix)]
+            if len(prefix) == last:
+                # the last exponent is forced by the degree
+                if remaining % step == 0:
+                    out.append(prefix + (remaining // step,))
+                continue
+            for e in range(remaining // step, -1, -1):
+                stack.append((prefix + (e,), remaining - e * step))
+        return out
 
     def brute_quotient_dimension(self, n: int) -> int:
         """Independent oracle: dim of degree n in the quotient, computed by

@@ -502,6 +502,13 @@ def klein_psc_generators(n: int) -> list[frozenset]:
     return gens
 
 
+def _span_degree_bound(n_max: int) -> int:
+    """The completion bound of the span algebras for a sweep up to n_max."""
+    if n_max > 256:
+        raise ValueError("n_max is capped at 256")
+    return max(64, n_max)
+
+
 @lru_cache(maxsize=4)
 def _span_algebras(degree_bound: int = 64):
     d8 = dihedral_cohomology(degree_bound)
@@ -510,10 +517,11 @@ def _span_algebras(degree_bound: int = 64):
     return d8, v2, sd, d8_to_v2_restriction(d8, v2), sd_to_d8_restriction(sd, d8)
 
 
-def dihedral_psc_span(n: int) -> tuple[list[int], list, "f2ring.PresentedF2Algebra"]:
+def dihedral_psc_span(n: int, degree_bound: int = 64
+                      ) -> tuple[list[int], list, "f2ring.PresentedF2Algebra"]:
     """Push the Klein-subgroup generators into the dihedral homology and
     return (row space bitmasks, dihedral basis, dihedral algebra)."""
-    d8, v2, _, f_dv, _ = _span_algebras()
+    d8, v2, _, f_dv, _ = _span_algebras(degree_bound)
     basis = d8.graded_basis(n)
     index = {m: i for i, m in enumerate(basis)}
     push = dual_pushforward_map(f_dv, n)
@@ -526,10 +534,10 @@ def dihedral_psc_span(n: int) -> tuple[list[int], list, "f2ring.PresentedF2Algeb
     return gf2_echelon(rows), basis, d8
 
 
-def expected_dihedral_span(n: int) -> list[int]:
+def expected_dihedral_span(n: int, degree_bound: int = 64) -> list[int]:
     """The stated span: duals of a^(4i) d^(4j+3) in dimensions 2 mod 4 and
     of a^(4i+2) d^(4j+1) in dimensions 0 mod 4."""
-    d8, _, _, _, _ = _span_algebras()
+    d8, _, _, _, _ = _span_algebras(degree_bound)
     basis = d8.graded_basis(n)
     index = {m: i for i, m in enumerate(basis)}
     rows = []
@@ -547,20 +555,19 @@ def expected_dihedral_span(n: int) -> list[int]:
 
 def verify_prop51(n_max: int = 40) -> list[ClaimResult]:
     """Klein-to-dihedral pushforward spans and their dimension count."""
-    if n_max > 64:
-        raise ValueError("n_max is capped at 64")
+    bound = _span_degree_bound(n_max)
     out = []
     for n in range(2, n_max + 1, 2):
         k = n // 4
-        span, basis, d8 = dihedral_psc_span(n)
-        expected = expected_dihedral_span(n)
+        span, basis, d8 = dihedral_psc_span(n, bound)
+        expected = expected_dihedral_span(n, bound)
         out.append(claim(f"p51.n{n}.span",
                          "pushforward span equals the stated dual classes",
                          [f"{e:b}" for e in expected], [f"{s:b}" for s in span]))
         out.append(claim(f"p51.n{n}.count", "span dimension floor((k+1)/2)",
                          (k + 1) // 2, len(span)))
     # named instances
-    _, _, _, f_dv, _ = _span_algebras()
+    _, _, _, f_dv, _ = _span_algebras(bound)
     push12 = dual_pushforward_map(f_dv, 12)
     class_95 = push12[(9, 3)] ^ push12[(7, 5)]
     out.append(claim("p51.n12.M95", "the bundle class over (9,5) hits the dual of a^2 d^5",
@@ -577,9 +584,8 @@ def verify_prop51(n_max: int = 40) -> list[ClaimResult]:
 def verify_prop53(n_max: int = 40) -> list[ClaimResult]:
     """Composite span into the semi-dihedral homology: singleton images,
     injectivity, the vanishing tail class, and the two-column rank count."""
-    if n_max > 64:
-        raise ValueError("n_max is capped at 64")
-    d8, _, sd, _, f_sd = _span_algebras()
+    bound = _span_degree_bound(n_max)
+    d8, _, sd, _, f_sd = _span_algebras(bound)
     out = []
     for n in range(2, n_max + 1, 2):
         sd_basis = sd.graded_basis(n)
@@ -607,7 +613,7 @@ def verify_prop53(n_max: int = 40) -> list[ClaimResult]:
                              0, len(push[(0, 0, j_tail)])))
 
         # composite span dimension against the reference two-column rank
-        span_rows, d8_basis, _ = dihedral_psc_span(n)
+        span_rows, d8_basis, _ = dihedral_psc_span(n, bound)
         d8_index = {m: i for i, m in enumerate(d8_basis)}
         composite = []
         for row in span_rows:

@@ -297,24 +297,25 @@ class CharacterTable:
             coeffs.append(int(c))
         return tuple(coeffs)
 
-    def conjugate_partner(self, index: int) -> int:
-        """Index of the irreducible equal to the complex conjugate of row `index`."""
-        target = tuple(v.conjugate() for v in self.rows[index])
-        for j, row in enumerate(self.rows):
-            if all((a - b).is_zero() for a, b in zip(row, target)):
-                return j
-        raise ValidationError("conjugate character missing from table")
-
     @cached_property
     def _reality(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The Frobenius-Schur indicator and the conjugate-partner index of
-        every irreducible, computed once per table.  An irreducible has a
+        every irreducible, computed once per table.  Each row finds the
+        index of its complex conjugate through a dict keyed by the exact
+        values, all embedded at one common order.  An irreducible has a
         nonzero indicator exactly when it is its own partner, so only those
         rows are summed over the group."""
-        partners = tuple(self.conjugate_partner(i) for i in range(len(self.rows)))
+        order = math.lcm(*(v.order for row in self.rows for v in row))
+        index = {tuple(v.key_at(order) for v in row): j for j, row in enumerate(self.rows)}
+        partners = []
+        for row in self.rows:
+            j = index.get(tuple(v.conjugate().key_at(order) for v in row))
+            if j is None:
+                raise ValidationError("conjugate character missing from table")
+            partners.append(j)
         indicators = tuple(frobenius_schur(self.irreducible(name)) if partners[i] == i else 0
                            for i, name in enumerate(self.irreducible_names))
-        return indicators, partners
+        return indicators, tuple(partners)
 
 
 class VirtualCharacter:

@@ -225,6 +225,12 @@ class TestOtherCommands:
         proc = run_module("-m", "etakit.cli", *argv, timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
+    def test_large_total_space_ends_quickly(self):
+        # the Poincare check lists degree 100000 of m100000 under the staircase
+        proc = run_module("-m", "etakit.cli", "nf", "--algebra", "m100000",
+                          "--expr", "Z", timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Z\n", "")
+
     def test_basis(self, capsys):
         _, out, _ = run_cli(capsys, "basis", "--algebra", "d8", "--degree", "3")
         assert out == "a^3 a*d b^3 b*d\n"

@@ -91,6 +91,20 @@ class TestConjugation:
         assert real.conjugate() == real
 
 
+class TestKeys:
+    def test_equal_values_of_mixed_order_share_a_key(self):
+        i = root_of_unity(4, 1)
+        assert (root_of_unity(8, 2).key_at(8) == i.key_at(8)
+                == (i * CyclotomicNumber.from_rational(1, 8)).key_at(8))
+        half = CyclotomicNumber.from_rational(rat(1, 2))
+        assert half.key_at(8) == (root_of_unity(8, 1) * root_of_unity(8, 7) / 2).key_at(8)
+
+    def test_distinct_values_have_distinct_keys(self):
+        keys = {root_of_unity(8, k).key_at(8) for k in range(8)}
+        keys.add(CyclotomicNumber.from_rational(rat(1, 2)).key_at(8))
+        assert len(keys) == 9
+
+
 class TestRationality:
     def test_cancelling_imaginary_parts(self):
         assert (root_of_unity(8, 2) + root_of_unity(8, 6)).as_rational() == 0

@@ -88,7 +88,7 @@ class TestConfluenceOracle:
     @pytest.mark.parametrize("factory", [semidihedral_cohomology,
                                          dihedral_cohomology, klein_cohomology])
     def test_group_cohomologies(self, factory):
-        factory().validate_dimensions(16)
+        factory().validate_dimensions(32)
 
     def test_total_space(self, m8):
         m8.validate_dimensions(8)
@@ -109,6 +109,69 @@ class TestConfluenceOracle:
             if (n - 2) % 4 == 0:
                 expected.add((2, 0, 0, (n - 2) // 4))
             assert set(sd.graded_basis(n)) == expected
+
+
+BUILTIN_PRESENTATIONS = (
+    [pytest.param(functools.partial(f, 128), id=name)
+     for name, f in (("sd", semidihedral_cohomology), ("d8", dihedral_cohomology),
+                     ("v2", klein_cohomology))]
+    + [pytest.param(functools.partial(circle_bundle_cohomology, n), id=f"m{2 * n}")
+       for n in (2, 3, 8, 33)]
+    + [pytest.param(functools.partial(lens_space_cohomology, n), id=f"lens{2 * n - 1}")
+       for n in (2, 5, 16)])
+
+
+class TestStaircaseEnumeration:
+    @pytest.mark.parametrize("factory", BUILTIN_PRESENTATIONS)
+    def test_matches_filtered_free_monomials(self, factory):
+        # the staircase walk against the oracle's free monomials, filtered
+        # by every rule lead and sorted, in every degree up to the bound
+        alg = factory()
+        supports = [[(j, e) for j, e in enumerate(lead) if e] for lead, _ in alg._rules]
+        for n in range(alg.degree_bound + 1):
+            want = sorted((m for m in alg._free_monomials(n)
+                           if not any(all(m[j] >= e for j, e in s) for s in supports)),
+                          reverse=True)
+            assert alg.graded_basis(n) == want, n
+
+    def test_free_monomials_in_ascending_order(self, sd):
+        for n in range(12):
+            mons = sd._free_monomials(n)
+            assert mons == sorted(mons)
+            assert all(sd.monomial_degree(m) == n for m in mons)
+        assert len(sd._free_monomials(4)) == 5 + 2 + 1  # in x, y; one x or y with u; P
+
+    def test_unit_lead_leaves_no_basis(self):
+        alg = PresentedF2Algebra("zero", [("a", 1)], ["1"], degree_bound=4)
+        assert all(alg.graded_basis(n) == [] for n in range(5))
+        assert alg.brute_quotient_dimension(0) == 0
+
+
+class TestNormalFormCache:
+    def test_cached_reduction_matches_uncached(self, sd, m8):
+        for alg in (sd, m8):
+            for n in range(13):
+                for m in alg._free_monomials(n):
+                    want = alg._reduce_poly({m})
+                    assert alg._reduce_monomial(m) == want
+                    assert alg._nf_cache[m] == want
+                    assert alg._reduce_monomial(m) == want
+
+    def test_parsing_before_completion_caches_nothing(self):
+        # relation and top-monomial strings are parsed while no rule exists
+        alg = circle_bundle_cohomology(4)
+        assert alg._nf_cache == {}
+        assert str(alg.parse("s*t")) == "t^2"
+        assert alg._nf_cache
+
+    def test_bound_guard_on_every_call(self):
+        alg = semidihedral_cohomology(degree_bound=4)
+        assert alg._truncated
+        raw = (0, 5, 0, 0)
+        for _ in range(2):
+            with pytest.raises(DegreeBoundExceededError):
+                alg._reduce_monomial(raw)
+        assert raw not in alg._nf_cache
 
 
 class TestConfluenceFailureDetection:

@@ -111,9 +111,15 @@ class TestSpanCounts:
         assert len(klein_psc_generators(4)) == 2
         assert klein_psc_generators(6) == [frozenset({(3, 3)})]
 
+    def test_prop51_and_prop53_to_128(self):
+        # the span algebras are completed to degree 128 for this sweep
+        for c in verify_prop51(128) + verify_prop53(128):
+            assert c.passed, (c.claim_id, c.expected, c.computed)
+
     def test_bound_guard(self):
-        with pytest.raises(ValueError):
-            verify_prop51(66)
+        for verify in (verify_prop51, verify_prop53):
+            with pytest.raises(ValueError, match="capped at 256"):
+                verify(258)
 
 
 class TestCertificateMatrix:

@@ -203,6 +203,23 @@ class TestRealityTypes:
         assert partners == tuple((64 - j) % 64 for j in range(64))
         assert indicators == tuple(1 if j in (0, 32) else 0 for j in range(64))
 
+    @pytest.mark.parametrize("tag", ["c64", "q8", "sd16"])
+    def test_partners_match_pairwise_search(self, tag):
+        t = character_table(tag)
+
+        def pairwise(i):
+            target = [v.conjugate() for v in t.rows[i]]
+            return next(j for j, row in enumerate(t.rows)
+                        if all((a - b).is_zero() for a, b in zip(row, target)))
+        assert t._reality[1] == tuple(pairwise(i) for i in range(len(t.rows)))
+
+    def test_missing_conjugate_row_is_rejected(self):
+        c4 = character_table("c4")
+        rows = c4.rows[:3] + (c4.rows[1],)  # r1 twice, its conjugate r3 gone
+        t = CharacterTable(c4.group, c4.irreducible_names, rows, validate=False)
+        with pytest.raises(ValidationError, match="conjugate character missing"):
+            t._reality
+
     def test_two_minus_tau_family(self):
         t = character_table("q8")
         tau = t.irreducible("tau")
