@@ -147,7 +147,7 @@ def eta_donnelly(tau: FreeUnitaryRep, rho: VirtualCharacter) -> Fraction:
     total = CyclotomicNumber.from_rational(0)
     for c in range(1, len(tau.group.classes)):
         exps = tau.eigen_exponents[c]
-        term = rho.value_at(c) * tau.det_sqrt[c]
+        term = rho.values[c] * tau.det_sqrt[c]
         for e in exps:
             term = term * _inverse_one_minus_root(n, e)
         if tau.chern is not None:
@@ -172,7 +172,7 @@ def eta_donnelly_float(tau: FreeUnitaryRep, rho: VirtualCharacter) -> float:
         det = 1.0 + 0j
         for e in tau.eigen_exponents[c]:
             det *= 1 - cmath.exp(2j * cmath.pi * e / n)
-        term = rho.value_at(c).to_complex() * tau.det_sqrt[c].to_complex() / det
+        term = rho.values[c].to_complex() * tau.det_sqrt[c].to_complex() / det
         if tau.chern is not None:
             lams = (cmath.exp(2j * cmath.pi * e / n) for e in tau.eigen_exponents[c])
             term *= sum(0.5 * cj * (1 + lam) / (1 - lam) for lam, cj in zip(lams, tau.chern))

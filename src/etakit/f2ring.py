@@ -190,6 +190,9 @@ class PresentedF2Algebra:
         self.gen_degrees = tuple(int(d) for _, d in generators)
         if len(set(self.gen_names)) != len(self.gen_names):
             raise ValueError("duplicate generator names")
+        for n, d in zip(self.gen_names, self.gen_degrees):
+            if d < 1:
+                raise ValueError(f"generator {n!r} has degree {d}; degrees start at 1")
         self._gen_index = {n: i for i, n in enumerate(self.gen_names)}
         self.degree_bound = degree_bound
         if precedence is None:
@@ -664,12 +667,19 @@ class SteenrodData:
 # -- Wu and Stiefel-Whitney classes ---------------------------------------------------
 
 
+# bounds the work of one Wu computation, a pairing system per degree up to d/2
+WU_DIMENSION_CAP = 1024
+
+
 def wu_classes(algebra: PresentedF2Algebra, steenrod: SteenrodData) -> list[F2AlgebraElement]:
     """The classes v_0 .. v_(d/2) with <v_j * y, top> = <Sq^j(y), top> for
     every y of complementary degree; needs a non-degenerate pairing."""
     if algebra.poincare is None:
         raise ValueError("Wu classes need a Poincare structure")
     d = algebra.poincare[0]
+    if d > WU_DIMENSION_CAP:
+        raise DegreeBoundExceededError(
+            f"formal dimension {d} exceeds the Wu cap {WU_DIMENSION_CAP}")
     out = []
     for j in range(d // 2 + 1):
         basis_j = algebra.graded_basis(j)

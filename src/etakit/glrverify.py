@@ -502,26 +502,25 @@ def klein_psc_generators(n: int) -> list[frozenset]:
     return gens
 
 
-def _span_degree_bound(n_max: int) -> int:
-    """The completion bound of the span algebras for a sweep up to n_max."""
-    if n_max > 256:
-        raise ValueError("n_max is capped at 256")
-    return max(64, n_max)
+# the largest degree of the homology-span sweeps
+SPAN_DEGREE_CAP = 256
 
 
-@lru_cache(maxsize=4)
-def _span_algebras(degree_bound: int = 64):
-    d8 = dihedral_cohomology(degree_bound)
-    v2 = klein_cohomology(degree_bound)
-    sd = semidihedral_cohomology(degree_bound)
+@lru_cache(maxsize=None)
+def _span_algebras():
+    """The d8, v2 and sd presentations with the two restrictions between
+    them, built once.  Their rewriting systems complete untruncated at any
+    bound >= 8, so the cap only limits the degree of a basis."""
+    d8 = dihedral_cohomology(SPAN_DEGREE_CAP)
+    v2 = klein_cohomology(SPAN_DEGREE_CAP)
+    sd = semidihedral_cohomology(SPAN_DEGREE_CAP)
     return d8, v2, sd, d8_to_v2_restriction(d8, v2), sd_to_d8_restriction(sd, d8)
 
 
-def dihedral_psc_span(n: int, degree_bound: int = 64
-                      ) -> tuple[list[int], list, "f2ring.PresentedF2Algebra"]:
+def dihedral_psc_span(n: int) -> tuple[list[int], list, "f2ring.PresentedF2Algebra"]:
     """Push the Klein-subgroup generators into the dihedral homology and
     return (row space bitmasks, dihedral basis, dihedral algebra)."""
-    d8, v2, _, f_dv, _ = _span_algebras(degree_bound)
+    d8, v2, _, f_dv, _ = _span_algebras()
     basis = d8.graded_basis(n)
     index = {m: i for i, m in enumerate(basis)}
     push = dual_pushforward_map(f_dv, n)
@@ -534,10 +533,10 @@ def dihedral_psc_span(n: int, degree_bound: int = 64
     return gf2_echelon(rows), basis, d8
 
 
-def expected_dihedral_span(n: int, degree_bound: int = 64) -> list[int]:
+def expected_dihedral_span(n: int) -> list[int]:
     """The stated span: duals of a^(4i) d^(4j+3) in dimensions 2 mod 4 and
     of a^(4i+2) d^(4j+1) in dimensions 0 mod 4."""
-    d8, _, _, _, _ = _span_algebras(degree_bound)
+    d8, _, _, _, _ = _span_algebras()
     basis = d8.graded_basis(n)
     index = {m: i for i, m in enumerate(basis)}
     rows = []
@@ -555,19 +554,20 @@ def expected_dihedral_span(n: int, degree_bound: int = 64) -> list[int]:
 
 def verify_prop51(n_max: int = 40) -> list[ClaimResult]:
     """Klein-to-dihedral pushforward spans and their dimension count."""
-    bound = _span_degree_bound(n_max)
+    if n_max > SPAN_DEGREE_CAP:
+        raise ValueError(f"n_max is capped at {SPAN_DEGREE_CAP}")
     out = []
     for n in range(2, n_max + 1, 2):
         k = n // 4
-        span, basis, d8 = dihedral_psc_span(n, bound)
-        expected = expected_dihedral_span(n, bound)
+        span, basis, d8 = dihedral_psc_span(n)
+        expected = expected_dihedral_span(n)
         out.append(claim(f"p51.n{n}.span",
                          "pushforward span equals the stated dual classes",
                          [f"{e:b}" for e in expected], [f"{s:b}" for s in span]))
         out.append(claim(f"p51.n{n}.count", "span dimension floor((k+1)/2)",
                          (k + 1) // 2, len(span)))
     # named instances
-    _, _, _, f_dv, _ = _span_algebras(bound)
+    _, _, _, f_dv, _ = _span_algebras()
     push12 = dual_pushforward_map(f_dv, 12)
     class_95 = push12[(9, 3)] ^ push12[(7, 5)]
     out.append(claim("p51.n12.M95", "the bundle class over (9,5) hits the dual of a^2 d^5",
@@ -584,8 +584,9 @@ def verify_prop51(n_max: int = 40) -> list[ClaimResult]:
 def verify_prop53(n_max: int = 40) -> list[ClaimResult]:
     """Composite span into the semi-dihedral homology: singleton images,
     injectivity, the vanishing tail class, and the two-column rank count."""
-    bound = _span_degree_bound(n_max)
-    d8, _, sd, _, f_sd = _span_algebras(bound)
+    if n_max > SPAN_DEGREE_CAP:
+        raise ValueError(f"n_max is capped at {SPAN_DEGREE_CAP}")
+    d8, _, sd, _, f_sd = _span_algebras()
     out = []
     for n in range(2, n_max + 1, 2):
         sd_basis = sd.graded_basis(n)
@@ -613,7 +614,7 @@ def verify_prop53(n_max: int = 40) -> list[ClaimResult]:
                              0, len(push[(0, 0, j_tail)])))
 
         # composite span dimension against the reference two-column rank
-        span_rows, d8_basis, _ = dihedral_psc_span(n, bound)
+        span_rows, d8_basis, _ = dihedral_psc_span(n)
         d8_index = {m: i for i, m in enumerate(d8_basis)}
         composite = []
         for row in span_rows:

@@ -285,9 +285,9 @@ class CharacterTable:
     def constant(self, value: int) -> "VirtualCharacter":
         return self.trivial() * value
 
-    def decompose(self, values: Sequence[CyclotomicNumber]) -> tuple[int, ...]:
-        """Express an exact class function in the irreducible basis; the
-        coefficients must come out as integers."""
+    def decompose(self, values: Sequence[CyclotomicNumber]) -> "VirtualCharacter":
+        """The virtual character with these exact class-function values; its
+        coefficients in the irreducible basis must come out as integers."""
         coeffs = []
         for row in self.rows:
             c = self.inner(values, row).as_rational()
@@ -295,7 +295,7 @@ class CharacterTable:
                 raise ValidationError(f"class function is not a virtual character: "
                                       f"coefficient {c} on {row}")
             coeffs.append(int(c))
-        return tuple(coeffs)
+        return VirtualCharacter(self, coeffs)
 
     @cached_property
     def _reality(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -318,8 +318,14 @@ class CharacterTable:
         return indicators, tuple(partners)
 
 
+# bounds the exponent, and so the digits, of a character power; the claims use k <= 3
+CHARACTER_POWER_CAP = 1024
+
+
 class VirtualCharacter:
-    """Z-linear combination of the irreducibles of a fixed table."""
+    """Z-linear combination of the irreducibles of a fixed table.  The
+    coefficients are its identity; its class-function values are summed
+    from them once, and `CharacterTable.decompose` is the way back."""
 
     def __init__(self, table: CharacterTable, coeffs: Sequence[int]):
         self.table = table
@@ -331,19 +337,18 @@ class VirtualCharacter:
     def group(self) -> FiniteGroup:
         return self.table.group
 
-    def value_at(self, class_index: int) -> CyclotomicNumber:
-        total = _cyc(0)
+    @cached_property
+    def values(self) -> tuple[CyclotomicNumber, ...]:
+        """The value at each conjugacy class, in the table's class order."""
+        totals = [_cyc(0)] * len(self.coeffs)
         for c, row in zip(self.coeffs, self.table.rows):
             if c:
-                total = total + c * row[class_index]
-        return total
-
-    def values(self) -> tuple[CyclotomicNumber, ...]:
-        return tuple(self.value_at(c) for c in range(len(self.table.rows)))
+                totals = [t + c * v for t, v in zip(totals, row)]
+        return tuple(totals)
 
     @property
     def dim(self) -> int:
-        r = self.value_at(0).as_rational()
+        r = self.values[0].as_rational()
         if r is None or r.denominator != 1:
             raise ValidationError(f"virtual character {self} has dimension {r}, "
                                   f"not an integer")
@@ -384,24 +389,16 @@ class VirtualCharacter:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        # pointwise product of class functions, re-expressed in the basis
-        values = [self.value_at(c) * o.value_at(c) for c in range(len(self.table.rows))]
-        return VirtualCharacter(self.table, self.table.decompose(values))
+        return self.table.decompose([a * b for a, b in zip(self.values, o.values)])
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative character powers are not defined")
-        result = self.table.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        if k > CHARACTER_POWER_CAP:
+            raise ValidationError(f"character power k = {k} exceeds the cap {CHARACTER_POWER_CAP}")
+        return self.table.decompose([v ** k for v in self.values])
 
     def __eq__(self, other):
         return (isinstance(other, VirtualCharacter) and other.table is self.table
@@ -410,8 +407,7 @@ class VirtualCharacter:
     __hash__ = None
 
     def conjugate(self) -> "VirtualCharacter":
-        values = [self.value_at(c).conjugate() for c in range(len(self.table.rows))]
-        return VirtualCharacter(self.table, self.table.decompose(values))
+        return self.table.decompose([v.conjugate() for v in self.values])
 
     def __str__(self) -> str:
         parts = []
@@ -488,13 +484,13 @@ def character_table(tag_or_group) -> CharacterTable:
 def frobenius_schur(chi: VirtualCharacter) -> int:
     """Frobenius-Schur indicator (1/|G|) sum chi(g^2); requires chi irreducible."""
     table = chi.table
-    norm = table.inner(chi.values(), chi.values()).as_rational()
+    norm = table.inner(chi.values, chi.values).as_rational()
     if norm != 1:
         raise NotIrreducibleError(f"<chi,chi> = {norm}, not 1")
     g = table.group
     total = _cyc(0)
     for a in range(g.order):
-        total = total + chi.value_at(g.class_of[g.mul(a, a)])
+        total = total + chi.values[g.class_of[g.mul(a, a)]]
     r = (total * Fraction(1, g.order)).as_rational()
     if r is None or r.denominator != 1:
         raise ValidationError(f"Frobenius-Schur indicator {r} is not an integer")
@@ -596,12 +592,10 @@ def restrict_virtual(chi: VirtualCharacter, inclusion: InclusionMap) -> VirtualC
     """Restriction along H -> G, re-expressed exactly in H's irreducible basis."""
     if chi.group is not inclusion.target:
         raise ValueError("character is not defined on the inclusion's target group")
-    sub = character_table(inclusion.source.name)
-    values = []
-    for cls in inclusion.source.classes:
-        g_class = inclusion.target.class_of[inclusion.element_map[cls[0]]]
-        values.append(chi.value_at(g_class))
-    return VirtualCharacter(sub, sub.decompose(values))
+    g = inclusion.target
+    return character_table(inclusion.source.name).decompose(
+        [chi.values[g.class_of[inclusion.element_map[cls[0]]]]
+         for cls in inclusion.source.classes])
 
 
 def find_embeddings(source: FiniteGroup, target: FiniteGroup) -> list[InclusionMap]:
@@ -782,12 +776,3 @@ def table_from_json(data: Union[str, dict]) -> CharacterTable:
         return CharacterTable(group, names, rows)
     except ValidationError as exc:
         raise ValidationError(f"character table for {group.name}: {exc}")
-
-
-def inclusion_from_json(data: Union[str, dict]) -> InclusionMap:
-    """Build an inclusion from JSON fields `source`, `target`, `images`."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    source = builtin_group(data["source"])
-    target = builtin_group(data["target"])
-    return InclusionMap.from_images(source, target, data["images"])

@@ -137,7 +137,8 @@ class TestEtaCommand:
         assert err == "NotFreeError: every weight must be coprime to l = 6 for a free action\n"
 
     @pytest.mark.parametrize("argv,error", [
-        (("--k", "1", "--rho", "(2-tau)^100000"), "OverflowError: "),
+        (("--k", "1", "--rho", "(2-tau)^100000"),
+         "ValidationError: character power k = 100000 exceeds the cap 1024\n"),
         (("--k", "100000", "--rho", "2-tau"), "ValueError: k = 100000 exceeds the cap 1024\n"),
     ], ids=["character-power", "quaternion-k"])
     def test_huge_quaternion_input_ends_quickly(self, argv, error):
@@ -220,7 +221,9 @@ class TestOtherCommands:
         (("restrict", "--group", "sd16", "--subgroup", "q8",
           "--images", "i=s^1000000000,j=t*s", "--chi", "rho2"),
          1, "", "NotASubgroupMapError: map is not injective\n"),
-    ], ids=["algebra-power", "group-power"])
+        (("restrict", "--group", "sd16", "--subgroup", "q8", "--chi", "rho2^100000"),
+         1, "", "ValidationError: character power k = 100000 exceeds the cap 1024\n"),
+    ], ids=["algebra-power", "group-power", "character-power"])
     def test_huge_exponent_ends_quickly(self, argv, code, out, err):
         proc = run_module("-m", "etakit.cli", *argv, timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
@@ -230,6 +233,12 @@ class TestOtherCommands:
         proc = run_module("-m", "etakit.cli", "nf", "--algebra", "m100000",
                           "--expr", "Z", timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Z\n", "")
+
+    def test_wu_dimension_cap_ends_quickly(self):
+        proc = run_module("-m", "etakit.cli", "wu", "--algebra", "m2048",
+                          "--branch", "spin", timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "DegreeBoundExceededError: formal dimension 2048 exceeds the Wu cap 1024\n")
 
     def test_basis(self, capsys):
         _, out, _ = run_cli(capsys, "basis", "--algebra", "d8", "--degree", "3")
@@ -296,6 +305,18 @@ class TestConfig:
                                "--algebra", "custom:ext", "--degree", "3")
         assert code == 0
         assert out == "e*w\n"
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_generator_degree_below_one(self, capsys, tmp_path, degree):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "algebras": {"z": {"generators": [["e", degree], ["w", 2]]}},
+        }))
+        code, out, err = run_cli(capsys, "--config", str(path), "basis",
+                                 "--algebra", "custom:z", "--degree", "2")
+        assert (code, out) == (1, "")
+        assert err == (f"ValidationError: algebra 'z': generator 'e' has degree "
+                       f"{degree}; degrees start at 1\n")
 
     def test_malformed_relation_reports_position(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

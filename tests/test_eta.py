@@ -42,7 +42,7 @@ def reference_lens_sum(spec, rho):
                     lam = root_of_unity(l, k * aj)
                     factor = factor + Fraction(cj, 2) * (1 + lam) / (1 - lam)
             f = f * factor
-        total = total + f * rho.value_at(k)
+        total = total + f * rho.values[k]
     r = (total * Fraction(1, l)).as_rational()
     assert r is not None
     return r

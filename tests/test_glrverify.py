@@ -5,7 +5,8 @@ import json
 import pytest
 
 from etakit import glrverify
-from etakit.glrverify import (SUITES, choose_q8_labeling, kerap_lookup,
+from etakit.glrverify import (SPAN_DEGREE_CAP, SUITES, _span_algebras,
+                              choose_q8_labeling, kerap_lookup,
                               klein_psc_generators, normalized_entry,
                               quaternion_certificate_matrix, run_report,
                               table_ko_order, verify_prop41, verify_prop51,
@@ -112,9 +113,14 @@ class TestSpanCounts:
         assert klein_psc_generators(6) == [frozenset({(3, 3)})]
 
     def test_prop51_and_prop53_to_128(self):
-        # the span algebras are completed to degree 128 for this sweep
         for c in verify_prop51(128) + verify_prop53(128):
             assert c.passed, (c.claim_id, c.expected, c.computed)
+
+    def test_span_algebras_are_untruncated(self):
+        # complete rewriting systems: no S-pair was dropped at the cap
+        d8, v2, sd, _, _ = _span_algebras()
+        assert [alg.degree_bound for alg in (d8, v2, sd)] == [SPAN_DEGREE_CAP] * 3
+        assert not any(alg._truncated for alg in (d8, v2, sd))
 
     def test_bound_guard(self):
         for verify in (verify_prop51, verify_prop53):

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from etakit.exactnum import root_of_unity
+from etakit.exactnum import CyclotomicNumber, root_of_unity
 from etakit import grouprep
 from etakit.eta import LensSpec, ManifoldSpec, eta_donnelly, eta_of_float
 from etakit.grouprep import (CharacterTable, FreeUnitaryRep, InclusionMap,
@@ -15,9 +16,9 @@ from etakit.grouprep import (CharacterTable, FreeUnitaryRep, InclusionMap,
                              UnsupportedGroupError, ValidationError,
                              VirtualCharacter, builtin_group, character_table,
                              cyclic_free_rep, find_embeddings, frobenius_schur,
-                             inclusion_from_json, is_quaternion_type,
-                             is_real_type, quaternion_free_rep,
-                             restrict_virtual, table_from_json)
+                             is_quaternion_type, is_real_type,
+                             quaternion_free_rep, restrict_virtual,
+                             table_from_json)
 
 
 class TestBuiltinGroups:
@@ -86,21 +87,21 @@ class TestCharacterTables:
     def test_q8_tau_values(self):
         t = character_table("q8")
         tau = t.irreducible("tau")
-        assert tau.value_at(1).as_rational() == -2   # class [-1]
-        assert tau.value_at(2).as_rational() == 0    # class [i]
+        assert tau.values[1].as_rational() == -2   # class [-1]
+        assert tau.values[2].as_rational() == 0    # class [i]
 
     def test_sd16_two_dimensional_rows(self):
         t = character_table("sd16")
-        assert t.irreducible("rho").value_at(1).as_rational() == -2   # [s^4]
-        assert t.irreducible("rho2").value_at(3).as_rational() == -2  # [s^2]
+        assert t.irreducible("rho").values[1].as_rational() == -2   # [s^4]
+        assert t.irreducible("rho2").values[3].as_rational() == -2  # [s^2]
         sqrt2i = root_of_unity(8, 1) + root_of_unity(8, 3)
-        assert t.irreducible("rho").value_at(2) == sqrt2i             # [s]
-        assert t.irreducible("rho5").value_at(2) == -1 * sqrt2i
+        assert t.irreducible("rho").values[2] == sqrt2i             # [s]
+        assert t.irreducible("rho5").values[2] == -1 * sqrt2i
 
     def test_trivial_character(self):
         for tag in ("q8", "sd16", "c8"):
             t = character_table(tag)
-            assert all(v.as_rational() == 1 for v in t.trivial().values())
+            assert all(v.as_rational() == 1 for v in t.trivial().values)
 
 
 class TestVirtualCharacters:
@@ -138,6 +139,61 @@ class TestVirtualCharacters:
                            [[Fraction(1, 2), 1], [1, -1]], validate=False)
         with pytest.raises(ValidationError, match="dimension 1/2"):
             t.irreducible("r0").dim
+
+
+def reference_values(chi):
+    """The class function of chi, summed from the table rows one class at
+    a time: the reference for the cached `VirtualCharacter.values`."""
+    out = []
+    for k in range(len(chi.table.rows)):
+        total = CyclotomicNumber.from_rational(0)
+        for c, row in zip(chi.coeffs, chi.table.rows):
+            if c:
+                total = total + c * row[k]
+        out.append(total)
+    return out
+
+
+@st.composite
+def characters(draw, tag):
+    t = character_table(tag)
+    n = len(t.rows)
+    return VirtualCharacter(t, draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+
+
+# (subgroup, group, generator images): the restrictions the claims use
+RESTRICTIONS = [("c8", "sd16", {"g": "s"}), ("c2", "sd16", {"g": "t"}),
+                ("q8", "sd16", {"i": "s^2", "j": "t*s"}), ("c4", "q8", {"g": "i"})]
+
+
+class TestOneRepresentation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["c8", "q8", "d8", "sd16"]).flatmap(
+        lambda tag: st.tuples(characters(tag), characters(tag))), st.integers(0, 6))
+    def test_values_against_row_sum(self, pair, k):
+        a, b = pair
+        va, vb = reference_values(a), reference_values(b)
+        assert list(a.values) == va
+        assert list((a * b).values) == [x * y for x, y in zip(va, vb)]
+        powers = [CyclotomicNumber.from_rational(1)] * len(va)
+        for _ in range(k):
+            powers = [p * x for p, x in zip(powers, va)]
+        assert list((a ** k).values) == powers
+        assert list(a.conjugate().values) == [x.conjugate() for x in va]
+        assert a.table.decompose(a.values) == a
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(RESTRICTIONS).flatmap(
+        lambda r: st.tuples(st.just(r), characters(r[1]))))
+    def test_restriction_against_row_sum(self, case):
+        (sub, group, images), chi = case
+        inc = InclusionMap.from_images(builtin_group(sub), builtin_group(group), images)
+        values = reference_values(chi)
+        want = [values[inc.target.class_of[inc.element_map[cls[0]]]]
+                for cls in inc.source.classes]
+        restricted = restrict_virtual(chi, inc)
+        assert restricted.table is character_table(sub)
+        assert list(restricted.values) == want
 
 
 class TestFrobeniusSchur:
@@ -299,7 +355,7 @@ class TestFreeRepresentations:
         rep = cyclic_free_rep(8, (1, 1, 5, 5))
         # (1+1+5+5)/2 = 6, so the square root character is r6
         tc = character_table("c8")
-        assert all(rep.det_sqrt[k] == tc.irreducible("r6").value_at(k)
+        assert all(rep.det_sqrt[k] == tc.irreducible("r6").values[k]
                    for k in range(8))
 
     def test_determinant_character_identity(self):
@@ -307,7 +363,7 @@ class TestFreeRepresentations:
         tc = character_table("c8")
         det = tc.irreducible("r4")  # rho_(1+3)
         for k in range(8):
-            assert rep.det_sqrt[k] * rep.det_sqrt[k] == det.value_at(k)
+            assert rep.det_sqrt[k] * rep.det_sqrt[k] == det.values[k]
 
     def test_rejections(self):
         with pytest.raises(NotFreeError):
@@ -389,8 +445,3 @@ class TestStructuredText:
                                  {"name": "b", "values": ["1*z^0 @ n=1", "1*z^0 @ n=1"]}]}
         with pytest.raises(ValidationError, match="orthogonality"):
             table_from_json(data)
-
-    def test_inclusion_from_json(self):
-        inc = inclusion_from_json({"source": "c8", "target": "sd16",
-                                   "images": {"g": "s"}})
-        assert inc.source.name == "c8" and inc.target.name == "sd16"
