@@ -12,14 +12,13 @@ from .grouprep import (CharacterTable, FiniteGroup, FreeUnitaryRep,
                        cyclic_free_rep, find_embeddings, frobenius_schur,
                        is_quaternion_type, is_real_type, quaternion_free_rep,
                        restrict_virtual)
-from .eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
+from .eta import (EtaValue, FloatRangeError, LensSpec, ManifoldSpec, Modulus,
                   NonRationalSumError, eta_donnelly, eta_donnelly_float,
                   eta_of, eta_of_float, eta_order, rational_determinant,
                   recursion_check, span_order_lower_bound, thm31_modulus)
 from .f2ring import (DegeneratePairingError, DegreeBoundExceededError,
                      F2AlgebraElement, F2ParseError, GradedHom,
-                     InconsistentSteenrodDataError,
-                     NonConfluentPresentationError, PresentedF2Algebra,
+                     InconsistentSteenrodDataError, PresentedF2Algebra,
                      SteenrodData, circle_bundle_cohomology,
                      circle_bundle_steenrod, circle_bundle_to_lens,
                      d8_to_v2_restriction, dihedral_cohomology,

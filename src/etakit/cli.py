@@ -196,18 +196,6 @@ _DEFAULT_IMAGES = {
 # -- command handlers ------------------------------------------------------------------
 
 
-def _emit_eta(value: Fraction, modulus: Modulus, args, float_value: float) -> None:
-    if args.float:
-        print(f"{float_value:.12g}")
-    elif args.format == "json":
-        print(json.dumps({"value": str(value), "order": eta_order(value, modulus),
-                          "modulus": str(modulus),
-                          "order_mod_z": eta_order(value, Modulus.Z),
-                          "order_mod_2z": eta_order(value, Modulus.TWO_Z)}))
-    else:
-        print(EtaValue(value, modulus))
-
-
 def _cmd_eta(args, cfg: Config) -> int:
     if args.engine == "quaternion":
         rho = parse_character(character_table("q8"), args.rho)
@@ -220,14 +208,23 @@ def _cmd_eta(args, cfg: Config) -> int:
         spec = ManifoldSpec(lens=LensSpec(args.l, _parse_int_tuple(args.a), kind, chern))
         if rho.dim != 0:  # a lens-space order needs a reduced character
             raise ValueError("lens-space eta requires a virtual dimension zero character")
-    value, float_value = eta_of(spec, rho), eta_of_float(spec, rho)
+    value = eta_of(spec, rho)
+    if args.float:
+        print(f"{eta_of_float(spec, rho):.12g}")
+        return 0
     if args.mod == "z":
         modulus = Modulus.Z
     elif args.mod == "2z":
         modulus = Modulus.TWO_Z
     else:
         modulus = thm31_modulus(spec.dimension, rho)
-    _emit_eta(value, modulus, args, float_value)
+    if args.format == "json":
+        print(json.dumps({"value": str(value), "order": eta_order(value, modulus),
+                          "modulus": str(modulus),
+                          "order_mod_z": eta_order(value, Modulus.Z),
+                          "order_mod_2z": eta_order(value, Modulus.TWO_Z)}))
+    else:
+        print(EtaValue(value, modulus))
     return 0
 
 

@@ -11,7 +11,8 @@ character may have nonzero dimension, since a difference of manifolds is
 the difference of their values.  A total that is not rational raises
 `NonRationalSumError`; values reduce to orders in R/Z or R/2Z.
 `eta_donnelly_float` and the weight-tuple formula behind `eta_of_float`
-are the double-precision mirrors.  Bordism never appears: a manifold is
+are the double-precision mirrors; a value they cannot hold raises
+`FloatRangeError`.  Bordism never appears: a manifold is
 just the parameter data of its defining free action, and multiplying by
 the 8-dimensional Bott manifold is a dimension shift that keeps the value.
 """
@@ -33,6 +34,10 @@ from .grouprep import (FreeUnitaryRep, InclusionMap, VirtualCharacter,
 
 
 class NonRationalSumError(ArithmeticError):
+    pass
+
+
+class FloatRangeError(ArithmeticError):
     pass
 
 
@@ -224,11 +229,16 @@ def eta_of(manifold: ManifoldSpec, rho: VirtualCharacter) -> Fraction:
 
 
 def eta_of_float(manifold: ManifoldSpec, rho: VirtualCharacter) -> float:
+    """Double-precision mirror of `eta_of`; a value outside double range
+    raises `FloatRangeError`."""
     if manifold.inclusion is not None:
         rho = restrict_virtual(rho, manifold.inclusion)
-    if manifold.quaternion_k is not None:
-        return eta_donnelly_float(quaternion_free_rep(manifold.quaternion_k), rho)
-    return _lens_float(manifold.lens, rho)
+    try:
+        if manifold.quaternion_k is not None:
+            return eta_donnelly_float(quaternion_free_rep(manifold.quaternion_k), rho)
+        return _lens_float(manifold.lens, rho)
+    except OverflowError:
+        raise FloatRangeError("the eta value is outside double range") from None
 
 
 def thm31_modulus(dimension: int, rho: VirtualCharacter) -> Modulus:

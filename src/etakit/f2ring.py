@@ -7,9 +7,9 @@ Monomials are exponent tuples; an element is a set of normal-form
 monomials (coefficients live in F2, so duplicates cancel).  Normal forms
 come from a rewriting system completed by degree-bounded Buchberger
 S-polynomial resolution; because all the ideals here are homogeneous,
-the truncated system is exact in every degree up to the bound.  On top
-of that, confluence can be certified against a brute-force quotient
-dimension oracle that shares no code with the rewriting path.
+the truncated system is exact in every degree up to the bound.  The
+tests certify confluence against a brute-force quotient-dimension oracle
+that shares no code with the rewriting path.
 
 Homomorphisms and the Cartan extension of Steenrod squares are both
 multiplicative maps on monomials: `_monomial_value` builds the value of a
@@ -36,10 +36,6 @@ class F2ParseError(ValueError):
 
 
 class DegreeBoundExceededError(ValueError):
-    pass
-
-
-class NonConfluentPresentationError(ValueError):
     pass
 
 
@@ -70,10 +66,6 @@ def gf2_echelon(rows: Iterable[int]) -> list[int]:
             if q > p and (pivots[q] >> p) & 1:
                 pivots[q] ^= pivots[p]
     return [pivots[p] for p in sorted(pivots, reverse=True)]
-
-
-def gf2_rank(rows: Iterable[int]) -> int:
-    return len(gf2_echelon(rows))
 
 
 def gf2_solve_unique(rows: Sequence[int], rhs: Sequence[int], width: int) -> int:
@@ -291,14 +283,13 @@ class PresentedF2Algebra:
                        for j, (ol, _) in enumerate(self._rules))]
         self._rules = [(lead, self._reduce_poly(tail)) for lead, tail in self._rules]
 
-    def _reduce_poly(self, poly: Iterable[Monomial], rules=None) -> frozenset:
-        rules = self._rules if rules is None else rules
+    def _reduce_poly(self, poly: Iterable[Monomial]) -> frozenset:
         work = set(poly)
         done: set[Monomial] = set()
         while work:
             m = max(work, key=self._key)
             work.discard(m)
-            for lead, tail in rules:
+            for lead, tail in self._rules:
                 if all(a <= b for a, b in zip(lead, m)):
                     shift = tuple(b - a for a, b in zip(lead, m))
                     for t in tail:
@@ -414,56 +405,6 @@ class PresentedF2Algebra:
 
         walk(0, n)
         return out
-
-    def _free_monomials(self, n: int) -> list[Monomial]:
-        """Every exponent tuple of degree n, in ascending lexicographic order;
-        an explicit-stack loop that shares no code with `graded_basis`."""
-        degs = self.gen_degrees
-        if not degs:
-            return [()] if n == 0 else []
-        last = len(degs) - 1
-        out: list[Monomial] = []
-        stack: list[tuple[Monomial, int]] = [((), n)]
-        while stack:
-            prefix, remaining = stack.pop()
-            step = degs[len(prefix)]
-            if len(prefix) == last:
-                # the last exponent is forced by the degree
-                if remaining % step == 0:
-                    out.append(prefix + (remaining // step,))
-                continue
-            for e in range(remaining // step, -1, -1):
-                stack.append((prefix + (e,), remaining - e * step))
-        return out
-
-    def brute_quotient_dimension(self, n: int) -> int:
-        """Independent oracle: dim of degree n in the quotient, computed by
-        GF(2) rank over all free relation multiples of that degree."""
-        mons = self._free_monomials(n)
-        index = {m: i for i, m in enumerate(mons)}
-        rows = []
-        for rel in self.raw_relations:
-            if not rel:
-                continue
-            d = self.monomial_degree(next(iter(rel)))
-            if d > n:
-                continue
-            for m in self._free_monomials(n - d):
-                row = 0
-                for t in rel:
-                    row ^= 1 << index[tuple(a + b for a, b in zip(m, t))]
-                rows.append(row)
-        return len(mons) - gf2_rank(rows)
-
-    def validate_dimensions(self, max_degree: int) -> None:
-        """Certify confluence by comparing graded dimensions with the oracle."""
-        for n in range(max_degree + 1):
-            got = len(self.graded_basis(n))
-            want = self.brute_quotient_dimension(n)
-            if got != want:
-                raise NonConfluentPresentationError(
-                    f"degree {n}: rewriting basis has {got} monomials, "
-                    f"oracle says {want}")
 
     # -- Poincare pairing ------------------------------------------------------------
 

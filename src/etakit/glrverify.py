@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
-from . import f2ring
 from .eta import (LensSpec, ManifoldSpec, Modulus, eta_of, eta_order,
                   span_order_lower_bound, thm31_modulus)
 from .f2ring import (circle_bundle_cohomology, circle_bundle_steenrod,
@@ -28,8 +27,9 @@ from .f2ring import (circle_bundle_cohomology, circle_bundle_steenrod,
                      sd_to_circle_bundle, sd_to_d8_restriction,
                      semidihedral_cohomology, sq1_branch_enumerate,
                      stiefel_whitney)
-from .grouprep import (InclusionMap, VirtualCharacter, builtin_group,
-                       character_table, find_embeddings, restrict_virtual)
+from .grouprep import (CharacterTable, InclusionMap, VirtualCharacter,
+                       builtin_group, character_table, find_embeddings,
+                       restrict_virtual)
 
 
 @dataclass
@@ -122,24 +122,14 @@ def table_ko_order(n: int) -> int:
 # -- shared scenario data -----------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _setup():
-    sd = builtin_group("sd16")
-    tsd = character_table("sd16")
-    tq8 = character_table("q8")
-    c8_in_sd = InclusionMap.from_images(builtin_group("c8"), sd, {"g": "s"})
-    c2_in_sd = InclusionMap.from_images(builtin_group("c2"), sd, {"g": "t"})
-    return sd, tsd, tq8, c8_in_sd, c2_in_sd
-
-
 def choose_q8_labeling() -> tuple[InclusionMap, str]:
     """Search the embeddings of the quaternion subgroup <s^2, t*s> and pick
     one under which rho2 restricts to k1 + k3; the choice fixes which
     quaternion cyclic subgroup is called <i>."""
-    sd, tsd, tq8, _, _ = _setup()
-    q8 = builtin_group("q8")
+    sd, q8 = builtin_group("sd16"), builtin_group("q8")
+    tq8 = character_table("q8")
     want = tq8.irreducible("k1") + tq8.irreducible("k3")
-    rho2 = tsd.irreducible("rho2")
+    rho2 = character_table("sd16").irreducible("rho2")
     for inc in find_embeddings(q8, sd):
         if restrict_virtual(rho2, inc) == want:
             desc = ", ".join(f"{g} -> {sd.element_names[inc.element_map[idx]]}"
@@ -148,23 +138,69 @@ def choose_q8_labeling() -> tuple[InclusionMap, str]:
     raise RuntimeError("no admissible quaternion labeling found")
 
 
-def _six_columns() -> list[tuple[str, VirtualCharacter]]:
-    """The six-tuple of virtual characters used for the odd-dimensional
-    span matrix.  The source display names only five and leaves a gap at
-    the fourth slot; 2 - rho2 is the unique completion consistent with
-    every stated cell, and is what the kappa-restriction argument uses."""
-    _, tsd, _, _, _ = _setup()
-    one = tsd.trivial()
-    rho = tsd.irreducible("rho")
-    rho5 = tsd.irreducible("rho5")
-    return [
-        ("1-chi3", one - tsd.irreducible("chi3")),
-        ("1-chi2", one - tsd.irreducible("chi2")),
-        ("1-chi4", one - tsd.irreducible("chi4")),
-        ("2-rho2", 2 * one - tsd.irreducible("rho2")),
-        ("2-rho", 2 * one - rho),
-        ("4+rho*rho5-2rho-2rho5", 4 * one + rho * rho5 - 2 * rho - 2 * rho5),
-    ]
+@dataclass(frozen=True)
+class Sd16Fixture:
+    """The fixed group-side objects of the SD16 accounting: character
+    tables, the inclusions of the named subgroups into SD16, the six span
+    columns and the powers (2 - tau)^p, p = 1, 2, 3, on Q8."""
+    tsd: CharacterTable
+    tq8: CharacterTable
+    tc8: CharacterTable
+    c8: InclusionMap
+    c2: InclusionMap
+    q8: InclusionMap
+    labeling: str
+    c4i: InclusionMap  # C4 -> <i> in Q8 -> SD16
+    c4j: InclusionMap  # C4 -> <j> in Q8 -> SD16
+    columns: tuple[VirtualCharacter, ...]
+    two_minus_tau: dict[int, VirtualCharacter]
+
+
+@lru_cache(maxsize=1)
+def _sd16_fixture() -> Sd16Fixture:
+    """Built on first use.  The columns are the six-tuple of the
+    odd-dimensional span matrix: 1-chi3, 1-chi2, 1-chi4, 2-rho2, 2-rho and
+    4+rho*rho5-2rho-2rho5.  The source display names only five and leaves
+    a gap at the fourth slot; 2 - rho2 is the unique completion consistent
+    with every stated cell, and is what the kappa-restriction argument
+    uses."""
+    sd, q8 = builtin_group("sd16"), builtin_group("q8")
+    tsd, tq8 = character_table("sd16"), character_table("q8")
+    q8_in_sd, labeling = choose_q8_labeling()
+    c4i, c4j = (InclusionMap.from_images(builtin_group("c4"), q8, {"g": g}).then(q8_in_sd)
+                for g in "ij")
+    one, rho, rho5 = tsd.trivial(), tsd.irreducible("rho"), tsd.irreducible("rho5")
+    columns = (one - tsd.irreducible("chi3"), one - tsd.irreducible("chi2"),
+               one - tsd.irreducible("chi4"), 2 * one - tsd.irreducible("rho2"),
+               2 * one - rho, 4 * one + rho * rho5 - 2 * rho - 2 * rho5)
+    t = 2 - tq8.irreducible("tau")
+    return Sd16Fixture(
+        tsd, tq8, character_table("c8"),
+        InclusionMap.from_images(builtin_group("c8"), sd, {"g": "s"}),
+        InclusionMap.from_images(builtin_group("c2"), sd, {"g": "t"}),
+        q8_in_sd, labeling, c4i, c4j, columns, {1: t, 2: t ** 2, 3: t ** 3})
+
+
+def free_quotients(n: int) -> dict[str, ManifoldSpec]:
+    """The named free quotients of dimension n, pushed into SD16.  For
+    n = 3 mod 4: the C8 lens space L on the (1,1,5,5) recursion tuples, the
+    projective space RP, the C4 lens spaces M1 and M2 through <i> and <j>,
+    and the quaternion quotient MQ.  For n = 5 mod 8: the C8 lens-space
+    bundle B over S^2."""
+    fx = _sd16_fixture()
+    half = (n + 1) // 2
+    if n >= 5 and n % 8 == 5:
+        return {"B": ManifoldSpec(lens=LensSpec(8, (1,) * (half - 1), kind="bundle"),
+                                  inclusion=fx.c8)}
+    if n < 3 or n % 4 != 3:
+        raise ValueError(f"no named free quotients in dimension {n}")
+    base = (1, 1) if n % 8 == 3 else (1, 1, 1, 1)
+    return {"L": ManifoldSpec(lens=LensSpec(8, base + (1, 1, 5, 5) * (n // 8)),
+                              inclusion=fx.c8),
+            "RP": ManifoldSpec(lens=LensSpec(2, (1,) * half), inclusion=fx.c2),
+            "M1": ManifoldSpec(lens=LensSpec(4, (1,) * half), inclusion=fx.c4i),
+            "M2": ManifoldSpec(lens=LensSpec(4, (1,) * half), inclusion=fx.c4j),
+            "MQ": ManifoldSpec(quaternion_k=(n - 3) // 4, inclusion=fx.q8)}
 
 
 def normalized_entry(manifold: ManifoldSpec, chi: VirtualCharacter) -> Fraction:
@@ -178,16 +214,11 @@ def normalized_entry(manifold: ManifoldSpec, chi: VirtualCharacter) -> Fraction:
     return value
 
 
-def _recursion_tuple(m: int, base: tuple[int, ...]) -> tuple[int, ...]:
-    return base + (1, 1, 5, 5) * m
-
-
-def _two_minus_tau(power: int) -> VirtualCharacter:
-    return (2 - character_table("q8").irreducible("tau")) ** power
-
-
-def _quaternion_eta(k: int, power: int) -> Fraction:
-    return eta_of(ManifoldSpec(quaternion_k=k), _two_minus_tau(power))
+def _q8_closed_form(k: int, p: int) -> Fraction:
+    """The stated eta(M_Q^(4k+3))((2 - tau)^p), p = 1, 2, 3."""
+    return (Fraction(1, 2 ** (2 * k + 3)) + Fraction(3, 2 ** (k + 2)),
+            Fraction(2, 4 ** (k + 1)) + Fraction(3, 2 ** (k + 1)),
+            Fraction(2, 4 ** k) + Fraction(6, 2 ** (k + 1)))[p - 1]
 
 
 def quaternion_certificate_matrix(m: int, residue: int) -> list[list[Fraction]]:
@@ -203,7 +234,8 @@ def quaternion_certificate_matrix(m: int, residue: int) -> list[list[Fraction]]:
     columns = [ManifoldSpec(quaternion_k=k)]
     if m > 0:
         columns.append(ManifoldSpec(quaternion_k=k - 2, bott_power=1))
-    return [[normalized_entry(col, _two_minus_tau(p)) for col in columns]
+    chis = _sd16_fixture().two_minus_tau
+    return [[normalized_entry(col, chis[p]) for col in columns]
             for p in powers[:len(columns)]]
 
 
@@ -215,17 +247,14 @@ def verify_q8_orders(m_max: int = 3) -> list[ClaimResult]:
     2x2 determinant certificates in dimensions 8m+3 and 8m+7."""
     if m_max > 8:
         raise ValueError("m_max is capped at 8")
+    chis = _sd16_fixture().two_minus_tau
     out = []
     for k in range(2 * m_max + 2):
-        f1 = Fraction(1, 2 ** (2 * k + 3)) + Fraction(3, 2 ** (k + 2))
-        f2 = Fraction(2, 4 ** (k + 1)) + Fraction(3, 2 ** (k + 1))
-        f3 = Fraction(2, 4 ** k) + Fraction(6, 2 ** (k + 1))
-        out.append(claim(f"q8.k{k}.eta1", "eta(M_Q^(4k+3))(2-tau) closed form",
-                         f1, _quaternion_eta(k, 1)))
-        out.append(claim(f"q8.k{k}.eta2", "eta(M_Q^(4k+3))((2-tau)^2) closed form",
-                         f2, _quaternion_eta(k, 2)))
-        out.append(claim(f"q8.k{k}.eta3", "eta(M_Q^(4k+3))((2-tau)^3) closed form",
-                         f3, _quaternion_eta(k, 3)))
+        for p, power in ((1, "(2-tau)"), (2, "((2-tau)^2)"), (3, "((2-tau)^3)")):
+            out.append(claim(f"q8.k{k}.eta{p}", f"eta(M_Q^(4k+3)){power} closed form",
+                             _q8_closed_form(k, p),
+                             eta_of(ManifoldSpec(quaternion_k=k), chis[p])))
+        f1 = _q8_closed_form(k, 1)
         out.append(claim(f"q8.k{k}.order_z", "order of eta(2-tau) in R/Z",
                          2 ** (2 * k + 3), eta_order(f1, Modulus.Z)))
         out.append(claim(f"q8.k{k}.order_2z", "order of eta(2-tau) in R/2Z",
@@ -246,44 +275,33 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
     cancelation, and the order accounting against the reference table."""
     if m_max > 4:
         raise ValueError("m_max is capped at 4")
-    sd, tsd, tq8, c8_in_sd, c2_in_sd = _setup()
-    q8_in_sd, labeling = choose_q8_labeling()
-    q8 = builtin_group("q8")
-    cols = _six_columns()
+    fx = _sd16_fixture()
+    cols, rho2 = fx.columns, fx.tsd.irreducible("rho2")
     out = [claim("sd.labeling", "a quaternion labeling with rho2 -> k1+k3 exists "
-                 f"(chosen: {labeling})", True, True)]
+                 f"(chosen: {fx.labeling})", True, True)]
     out.append(claim("sd.kappa_restrict", "rho2 restricted to the quaternion subgroup",
-                     str(tq8.irreducible("k1") + tq8.irreducible("k3")),
-                     str(restrict_virtual(tsd.irreducible("rho2"), q8_in_sd))))
+                     str(fx.tq8.irreducible("k1") + fx.tq8.irreducible("k3")),
+                     str(restrict_virtual(rho2, fx.q8))))
+    doubled = 2 * (fx.tc8.irreducible("r4") - fx.tc8.irreducible("r0"))
 
-    c4_in_q8_i = InclusionMap.from_images(builtin_group("c4"), q8, {"g": "i"})
-    c4_in_q8_j = InclusionMap.from_images(builtin_group("c4"), q8, {"g": "j"})
+    def cancel(row: ManifoldSpec) -> Fraction:
+        """Column cancelation col1 + col3 - col2, exact values."""
+        vals = [normalized_entry(row, chi) for chi in cols[:3]]
+        return vals[0] + vals[2] - vals[1]
 
     for m in range(m_max + 1):
         n3, n7 = 8 * m + 3, 8 * m + 7
-        # manifolds included into the ambient group
-        lens_row = ManifoldSpec(lens=LensSpec(8, _recursion_tuple(m, (1, 1))), inclusion=c8_in_sd)
-        rp_row = ManifoldSpec(lens=LensSpec(2, (1,) * (4 * m + 2)), inclusion=c2_in_sd)
-        m1_row = ManifoldSpec(lens=LensSpec(4, (1,) * (4 * m + 2)),
-                              inclusion=c4_in_q8_i.then(q8_in_sd))
-        m2_row = ManifoldSpec(lens=LensSpec(4, (1,) * (4 * m + 2)),
-                              inclusion=c4_in_q8_j.then(q8_in_sd))
-        mq_row = ManifoldSpec(quaternion_k=2 * m, inclusion=q8_in_sd)
+        q3, q7 = free_quotients(n3), free_quotients(n7)
 
         # kappa identity: rho2 against M1 - M2, refined range in dim 8m+3
-        rho2 = tsd.irreducible("rho2")
-        kval3 = eta_of(m1_row, rho2) - eta_of(m2_row, rho2)
+        kval3 = eta_of(q3["M1"], rho2) - eta_of(q3["M2"], rho2)
         out.append(claim(f"sd.m{m}.kappa_value3",
                          "|eta(M1-M2)(rho2)| = 2^-(2m+1) in dim 8m+3",
                          Fraction(1, 2 ** (2 * m + 1)), abs(kval3)))
         out.append(claim(f"sd.m{m}.kappa_order3",
                          "order 2^(2m+2) in R/2Z (real character, dim 3 mod 8)",
                          2 ** (2 * m + 2), eta_order(kval3, Modulus.TWO_Z)))
-        m1_row7 = ManifoldSpec(lens=LensSpec(4, (1,) * (4 * m + 4)),
-                               inclusion=c4_in_q8_i.then(q8_in_sd))
-        m2_row7 = ManifoldSpec(lens=LensSpec(4, (1,) * (4 * m + 4)),
-                               inclusion=c4_in_q8_j.then(q8_in_sd))
-        kval7 = eta_of(m1_row7, rho2) - eta_of(m2_row7, rho2)
+        kval7 = eta_of(q7["M1"], rho2) - eta_of(q7["M2"], rho2)
         out.append(claim(f"sd.m{m}.kappa_value7",
                          "|eta(M1-M2)(rho2)| = 2^-(2m+2) in dim 8m+7",
                          Fraction(1, 2 ** (2 * m + 2)), abs(kval7)))
@@ -291,14 +309,14 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
                          2 ** (2 * m + 2), eta_order(kval7, Modulus.Z)))
 
         # the lens row: entries under columns 1..3, magnitudes as displayed
-        l_entries = [abs(normalized_entry(lens_row, chi)) for _, chi in cols[:3]]
+        l_entries = [abs(normalized_entry(q3["L"], chi)) for chi in cols[:3]]
         out.append(claim(f"sd.m{m}.L_row",
                          "lens row entries (2^-(m+1), 0, 2^-(m+1)) at columns 1-3",
                          (Fraction(1, 2 ** (m + 1)), Fraction(0), Fraction(1, 2 ** (m + 1))),
                          tuple(l_entries)))
 
         # the projective-space row, all six columns, magnitudes
-        rp_entries = [abs(normalized_entry(rp_row, chi)) for _, chi in cols]
+        rp_entries = [abs(normalized_entry(q3["RP"], chi)) for chi in cols]
         e = Fraction(1, 2 ** (4 * m + 3))
         out.append(claim(f"sd.m{m}.RP_row",
                          "projective row (0, e, e, e, 2e, 2e) with e = 2^-(4m+3); "
@@ -307,37 +325,31 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
                          (Fraction(0), e, e, e, 2 * e, 2 * e), tuple(rp_entries)))
 
         # quaternion rows: columns 5 and 6 match the Q8-side closed forms
-        tau = tq8.irreducible("tau")
-        mq5 = normalized_entry(mq_row, cols[4][1])
-        mq6 = normalized_entry(mq_row, cols[5][1])
-        f1 = Fraction(1, 2 ** (4 * m + 3)) + Fraction(3, 2 ** (2 * m + 2))
-        f2h = (Fraction(2, 4 ** (2 * m + 1)) + Fraction(3, 2 ** (2 * m + 1))) / 2
+        mq5 = normalized_entry(q3["MQ"], cols[4])
+        mq6 = normalized_entry(q3["MQ"], cols[5])
         out.append(claim(f"sd.m{m}.MQ_col5", "quaternion row, (2-rho) column = "
-                         "eta(M_Q)(2-tau), unhalved (complex pair, R/Z)", f1, mq5))
+                         "eta(M_Q)(2-tau), unhalved (complex pair, R/Z)",
+                         _q8_closed_form(2 * m, 1), mq5))
         out.append(claim(f"sd.m{m}.MQ_col6", "quaternion row, real-combination "
-                         "column = eta(M_Q)((2-tau)^2)/2", f2h, mq6))
+                         "column = eta(M_Q)((2-tau)^2)/2", _q8_closed_form(2 * m, 2) / 2, mq6))
+        on_q8 = ManifoldSpec(quaternion_k=2 * m)
         out.append(claim(f"sd.m{m}.naturality5",
                          "restriction naturality: ambient (2-rho) equals (2-tau) on Q8",
-                         eta_of(ManifoldSpec(quaternion_k=2 * m), 2 - tau), eta_of(mq_row, cols[4][1])))
+                         eta_of(on_q8, fx.two_minus_tau[1]), eta_of(q3["MQ"], cols[4])))
         out.append(claim(f"sd.m{m}.naturality6",
                          "restriction naturality: the real combination equals (2-tau)^2 on Q8",
-                         eta_of(ManifoldSpec(quaternion_k=2 * m), (2 - tau) ** 2),
-                         eta_of(mq_row, cols[5][1])))
-
-        # column cancelation col1 + col3 - col2, exact values
-        def cancel(row: ManifoldSpec) -> Fraction:
-            vals = [normalized_entry(row, chi) for _, chi in cols[:3]]
-            return vals[0] + vals[2] - vals[1]
+                         eta_of(on_q8, fx.two_minus_tau[2]), eta_of(q3["MQ"], cols[5])))
 
         out.append(claim(f"sd.m{m}.cancel_L", "canceled column: lens entry 2^-m",
-                         Fraction(1, 2 ** m), abs(cancel(lens_row))))
+                         Fraction(1, 2 ** m), abs(cancel(q3["L"]))))
         out.append(claim(f"sd.m{m}.cancel_rest",
                          "canceled column vanishes on the other rows",
                          (Fraction(0),) * 3,
-                         (cancel(rp_row), cancel(m1_row) - cancel(m2_row), cancel(mq_row))))
+                         (cancel(q3["RP"]), cancel(q3["M1"]) - cancel(q3["M2"]),
+                          cancel(q3["MQ"]))))
 
         # order accounting in dim 8m+3
-        rp_q8hat = eta_of(rp_row, cols[2][1])
+        rp_q8hat = eta_of(q3["RP"], cols[2])
         out.append(claim(f"sd.m{m}.RP_order3", "projective class order 2^(4m+3) in R/2Z",
                          2 ** (4 * m + 3), eta_order(rp_q8hat, Modulus.TWO_Z)))
         det3 = span_order_lower_bound(quaternion_certificate_matrix(m, 3))
@@ -346,15 +358,14 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
                          2 ** (8 + 12 * m),
                          2 ** (2 * m + 2) * det3 * 2 ** (4 * m + 3)))
         out.append(claim(f"sd.m{m}.c8_factor3", "canceled lens entry has order 2^m in R/Z",
-                         2 ** m, eta_order(cancel(lens_row), Modulus.Z)))
+                         2 ** m, eta_order(cancel(q3["L"]), Modulus.Z)))
         out.append(claim(f"sd.m{m}.total3",
                          "2^(8+12m) * 2^m = 2^(8+13m) = derived |ko_(8m+3)|",
                          (2 ** (8 + 13 * m), 2 ** (8 + 13 * m)),
                          (2 ** (8 + 12 * m) * 2 ** m, table_ko_order(n3))))
 
         # order accounting in dim 8m+7
-        rp_row7 = ManifoldSpec(lens=LensSpec(2, (1,) * (4 * m + 4)), inclusion=c2_in_sd)
-        rp7 = eta_of(rp_row7, cols[2][1])
+        rp7 = eta_of(q7["RP"], cols[2])
         out.append(claim(f"sd.m{m}.RP_order7", "projective class order 2^(4m+4) in R/Z",
                          2 ** (4 * m + 4), eta_order(rp7, Modulus.Z)))
         det7 = span_order_lower_bound(quaternion_certificate_matrix(m, 7))
@@ -362,10 +373,7 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
                          "2^(4m+4) * 2^(2m+1) * 8^(2m+2) = 2^(11+12m)",
                          2 ** (11 + 12 * m),
                          2 ** (4 * m + 4) * 2 ** (2 * m + 1) * det7))
-        lens7 = ManifoldSpec(lens=LensSpec(8, _recursion_tuple(m, (1, 1, 1, 1))))
-        tc8 = character_table("c8")
-        doubled = 2 * (tc8.irreducible("r4") - tc8.irreducible("r0"))
-        quat_val = eta_of(lens7, doubled)
+        quat_val = eta_of(ManifoldSpec(lens=q7["L"].lens), doubled)
         out.append(claim(f"sd.m{m}.quat_factor7",
                          "eta(L^(8m+7))(2r4-2r0) keeps order 2^(m+1) in R/2Z "
                          "(a doubled real character is quaternionic)",
@@ -379,20 +387,18 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
 
 def verify_sd16_dim5_13() -> list[ClaimResult]:
     """The four bundle values in dimensions 5 and 13 and their summed orders."""
-    sd, tsd, _, c8_in_sd, _ = _setup()
-    tc8 = character_table("c8")
-    r0, r1, r3 = (tc8.irreducible(f"r{j}") for j in (0, 1, 3))
+    fx = _sd16_fixture()
+    r0, r1, r3 = (fx.tc8.irreducible(f"r{j}") for j in (0, 1, 3))
+    b5, b13 = free_quotients(5)["B"], free_quotients(13)["B"]
     out = []
-    b5 = LensSpec(8, (1, 1), kind="bundle")
-    b13 = LensSpec(8, (1,) * 6, kind="bundle")
     vals = {}
-    for tag, spec, rho, expected in [
+    for tag, row, rho, expected in [
         ("d5.rho1", b5, r0 - r1, Fraction(-7, 8)),
         ("d5.rho3", b5, r0 - r3, Fraction(-5, 8)),
         ("d13.rho1", b13, r0 - r1, Fraction(-17, 8) - Fraction(1, 32)),
         ("d13.rho3", b13, r0 - r3, Fraction(-17, 8) + Fraction(1, 32)),
     ]:
-        got = eta_of(ManifoldSpec(lens=spec), rho)
+        got = eta_of(ManifoldSpec(lens=row.lens), rho)
         vals[tag] = got
         out.append(claim(tag, "displayed lens-bundle eta value", expected, got))
     s5 = vals["d5.rho1"] + vals["d5.rho3"]
@@ -402,14 +408,12 @@ def verify_sd16_dim5_13() -> list[ClaimResult]:
     out.append(claim("d13.sum_order", "dim 13 sum has order 4 in R/Z "
                      "(source states the sum as 17/4; the displayed summands "
                      "add to -17/4, same order)", 4, eta_order(s13, Modulus.Z)))
-    # naturality: the ambient character 2 - rho restricts to r0 sums
-    restricted = restrict_virtual(2 * tsd.trivial() - tsd.irreducible("rho"), c8_in_sd)
+    # naturality: the ambient character 2 - rho (column 5) restricts to r0 sums
+    restricted = restrict_virtual(fx.columns[4], fx.c8)
     out.append(claim("d5.restrict", "2 - rho restricts to 2r0 - r1 - r3 on C8",
-                     str(2 * tc8.irreducible("r0") - r1 - r3), str(restricted)))
-    ambient = eta_of(ManifoldSpec(lens=b5, inclusion=c8_in_sd),
-                     2 * tsd.trivial() - tsd.irreducible("rho"))
+                     str(2 * r0 - r1 - r3), str(restricted)))
     out.append(claim("d5.naturality", "ambient evaluation equals the summand total",
-                     s5, ambient))
+                     s5, eta_of(b5, fx.columns[4])))
     return out
 
 
@@ -417,10 +421,10 @@ def verify_prop41(n: int) -> list[ClaimResult]:
     """The lens-bundle-over-circle total space in dimension 2n, n = 4k:
     pullback well-definedness, the two Bockstein branches, the spin
     conclusion, and the image of the top dual class."""
-    if n % 4 != 0 or not 4 <= n <= 16:
-        raise ValueError("n must be a multiple of 4 with 4 <= n <= 16")
+    if n % 4 != 0 or not 4 <= n <= SPAN_DEGREE_CAP // 2:
+        raise ValueError(f"n must be a multiple of 4 with 4 <= n <= {SPAN_DEGREE_CAP // 2}")
     out = []
-    sd = semidihedral_cohomology()
+    sd = _span_algebras()[2]
     m_alg = circle_bundle_cohomology(n)
     lens = lens_space_cohomology(n)
     tag = f"p41.n{n}"
@@ -481,6 +485,14 @@ def _bitmask(monomials, basis_index) -> int:
     return mask
 
 
+def _push(support, push) -> frozenset:
+    """The image of a sum of dual-basis monomials under a dual-pushforward map."""
+    image = frozenset()
+    for m in support:
+        image ^= push[m]
+    return image
+
+
 def klein_psc_generators(n: int) -> list[frozenset]:
     """Dual-basis supports of the positive-scalar-curvature generators of
     H_n of the Klein four group: products of projective spaces in
@@ -517,20 +529,13 @@ def _span_algebras():
     return d8, v2, sd, d8_to_v2_restriction(d8, v2), sd_to_d8_restriction(sd, d8)
 
 
-def dihedral_psc_span(n: int) -> tuple[list[int], list, "f2ring.PresentedF2Algebra"]:
-    """Push the Klein-subgroup generators into the dihedral homology and
-    return (row space bitmasks, dihedral basis, dihedral algebra)."""
-    d8, v2, _, f_dv, _ = _span_algebras()
-    basis = d8.graded_basis(n)
-    index = {m: i for i, m in enumerate(basis)}
+def dihedral_psc_span(n: int) -> list[int]:
+    """Push the Klein-subgroup generators into the dihedral homology: the
+    echelon basis of their span, as bitmasks over the dihedral basis."""
+    d8, _, _, f_dv, _ = _span_algebras()
+    index = {m: i for i, m in enumerate(d8.graded_basis(n))}
     push = dual_pushforward_map(f_dv, n)
-    rows = []
-    for gen in klein_psc_generators(n):
-        support = frozenset()
-        for v2_mon in gen:
-            support ^= push[v2_mon]
-        rows.append(_bitmask(support, index))
-    return gf2_echelon(rows), basis, d8
+    return gf2_echelon([_bitmask(_push(gen, push), index) for gen in klein_psc_generators(n)])
 
 
 def expected_dihedral_span(n: int) -> list[int]:
@@ -559,7 +564,7 @@ def verify_prop51(n_max: int = 40) -> list[ClaimResult]:
     out = []
     for n in range(2, n_max + 1, 2):
         k = n // 4
-        span, basis, d8 = dihedral_psc_span(n)
+        span = dihedral_psc_span(n)
         expected = expected_dihedral_span(n)
         out.append(claim(f"p51.n{n}.span",
                          "pushforward span equals the stated dual classes",
@@ -569,7 +574,7 @@ def verify_prop51(n_max: int = 40) -> list[ClaimResult]:
     # named instances
     _, _, _, f_dv, _ = _span_algebras()
     push12 = dual_pushforward_map(f_dv, 12)
-    class_95 = push12[(9, 3)] ^ push12[(7, 5)]
+    class_95 = _push({(9, 3), (7, 5)}, push12)
     out.append(claim("p51.n12.M95", "the bundle class over (9,5) hits the dual of a^2 d^5",
                      True, (2, 0, 5) in class_95))
     push6 = dual_pushforward_map(f_dv, 6)
@@ -586,11 +591,10 @@ def verify_prop53(n_max: int = 40) -> list[ClaimResult]:
     injectivity, the vanishing tail class, and the two-column rank count."""
     if n_max > SPAN_DEGREE_CAP:
         raise ValueError(f"n_max is capped at {SPAN_DEGREE_CAP}")
-    d8, _, sd, _, f_sd = _span_algebras()
+    _, _, sd, f_dv, f_sd = _span_algebras()
     out = []
     for n in range(2, n_max + 1, 2):
-        sd_basis = sd.graded_basis(n)
-        index = {m: i for i, m in enumerate(sd_basis)}
+        index = {m: i for i, m in enumerate(sd.graded_basis(n))}
         push = dual_pushforward_map(f_sd, n)
 
         # singleton identities and injectivity for i > 0 even, j odd
@@ -613,17 +617,12 @@ def verify_prop53(n_max: int = 40) -> list[ClaimResult]:
             out.append(claim(f"p53.n{n}.tail", "the dual of d^(4K+3) maps to zero",
                              0, len(push[(0, 0, j_tail)])))
 
-        # composite span dimension against the reference two-column rank
-        span_rows, d8_basis, _ = dihedral_psc_span(n)
-        d8_index = {m: i for i, m in enumerate(d8_basis)}
-        composite = []
-        for row in span_rows:
-            support = frozenset()
-            for i, m in enumerate(d8_basis):
-                if row >> d8_index[m] & 1:
-                    support ^= push[m]
-            composite.append(_bitmask(support, index))
-        rank = len(gf2_echelon(composite))
+        # composite span dimension against the reference two-column rank: the
+        # Klein generators pushed through both maps span the image of the
+        # dihedral span, by linearity
+        push_dv = dual_pushforward_map(f_dv, n)
+        rank = len(gf2_echelon([_bitmask(_push(_push(gen, push_dv), push), index)
+                                for gen in klein_psc_generators(n)]))
         table_rank = kerap_lookup(n)[1]
         out.append(claim(f"p53.n{n}.rank", "composite span meets the two-column rank",
                          table_rank, rank))

@@ -18,6 +18,7 @@ from etakit.glrverify import (quaternion_certificate_matrix, run_report,
                               table_ko_order, verify_prop41, verify_prop51,
                               verify_prop53)
 from etakit.grouprep import character_table, quaternion_free_rep
+from oracles import validate_columns, validate_dimensions
 
 
 def _passed(criterion: int, message: str) -> None:
@@ -150,7 +151,7 @@ def test_criterion_7_cohomology_spans():
     from etakit.glrverify import dihedral_psc_span
     for n in range(2, 41, 2):
         k = n // 4
-        assert len(dihedral_psc_span(n)[0]) == (k + 1) // 2
+        assert len(dihedral_psc_span(n)) == (k + 1) // 2
     _passed(7, "span counts floor((k+1)/2) for even n <= 40 and two-column "
                "ranks met with injective singleton images")
 
@@ -180,11 +181,12 @@ def test_criterion_9_property_suites():
     # exact row and column orthogonality for every builtin table
     for tag in ("c2", "c4", "c8", "c16", "v2", "d8", "q8", "sd16"):
         character_table(tag).validate_orthogonality()
+        validate_columns(character_table(tag))
 
     # rewriting-confluence dimension oracle through degree 40
     for algebra in (semidihedral_cohomology(), dihedral_cohomology(),
                     klein_cohomology()):
-        algebra.validate_dimensions(40)
+        validate_dimensions(algebra, 40)
 
     # hom multiplicativity on sampled homogeneous pairs
     sd, d8 = semidihedral_cohomology(), dihedral_cohomology()

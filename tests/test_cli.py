@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,19 @@ class TestEtaCommand:
         proc = run_module("-m", "etakit.cli", "eta", "quaternion", *argv, timeout=10)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith(error) and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("power", [600, 1024])
+    def test_value_outside_double_range(self, capsys, power):
+        # the exact value needs no float; --float ends in a typed error
+        argv = ("eta", "quaternion", "--k", "1", "--rho", f"(2-tau)^{power}")
+        code, out, err = run_cli(capsys, *argv)
+        value, _, order = out.partition(" ")
+        assert (code, err) == (0, "") and order.startswith("(order ")
+        with pytest.raises(OverflowError):
+            float(Fraction(value))
+        code, out, err = run_cli(capsys, *argv, "--float")
+        assert (code, out) == (1, "")
+        assert err == "FloatRangeError: the eta value is outside double range\n"
 
     def test_character_grammar(self):
         t = character_table("sd16")

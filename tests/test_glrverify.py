@@ -5,12 +5,14 @@ import json
 import pytest
 
 from etakit import glrverify
-from etakit.glrverify import (SPAN_DEGREE_CAP, SUITES, _span_algebras,
-                              choose_q8_labeling, kerap_lookup,
+from etakit.glrverify import (SPAN_DEGREE_CAP, SUITES, _sd16_fixture,
+                              _span_algebras, choose_q8_labeling,
+                              free_quotients, kerap_lookup,
                               klein_psc_generators, normalized_entry,
                               quaternion_certificate_matrix, run_report,
                               table_ko_order, verify_prop41, verify_prop51,
-                              verify_prop53, verify_q8_orders)
+                              verify_prop53, verify_q8_orders, verify_sd16_odd)
+from etakit.grouprep import InclusionMap
 
 
 class TestKerApTable:
@@ -54,6 +56,51 @@ class TestLabeling:
         inc, desc = choose_q8_labeling()
         assert "i ->" in desc and "j ->" in desc
         assert inc.source.name == "q8" and inc.target.name == "sd16"
+
+
+class TestScenarioFixture:
+    def test_built_once_across_calls(self, monkeypatch):
+        calls = {"then": 0, "find_embeddings": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(InclusionMap, "then", counted("then", InclusionMap.then))
+        monkeypatch.setattr(glrverify, "find_embeddings",
+                            counted("find_embeddings", glrverify.find_embeddings))
+        _sd16_fixture.cache_clear()
+        for _ in range(2):
+            assert all(c.passed for c in verify_sd16_odd(3))
+        assert calls == {"then": 2, "find_embeddings": 1}
+
+    def test_fixture_shape(self):
+        fx = _sd16_fixture()
+        assert len(fx.columns) == 6 and all(chi.dim == 0 for chi in fx.columns)
+        assert sorted(fx.two_minus_tau) == [1, 2, 3]
+        for inc, source in ((fx.c8, "c8"), (fx.c2, "c2"), (fx.q8, "q8"),
+                            (fx.c4i, "c4"), (fx.c4j, "c4")):
+            assert (inc.source.name, inc.target.name) == (source, "sd16")
+        assert fx.c4i.element_map != fx.c4j.element_map
+
+    @pytest.mark.parametrize("n", range(3, 36, 4))
+    def test_catalogue_rows_have_dimension_n(self, n):
+        rows = free_quotients(n)
+        assert sorted(rows) == ["L", "M1", "M2", "MQ", "RP"]
+        assert all(row.dimension == n for row in rows.values())
+        assert all(row.inclusion.target.name == "sd16" for row in rows.values())
+
+    @pytest.mark.parametrize("n", [5, 13, 21])
+    def test_catalogue_bundle_row(self, n):
+        rows = free_quotients(n)
+        assert list(rows) == ["B"] and rows["B"].dimension == n
+        assert rows["B"].lens.kind == "bundle"
+
+    @pytest.mark.parametrize("n", [-3, 1, 2, 4, 9, 25])
+    def test_catalogue_refuses_other_dimensions(self, n):
+        with pytest.raises(ValueError, match="no named free quotients"):
+            free_quotients(n)
 
 
 class TestSuites:
@@ -158,11 +205,19 @@ class TestProp41Guards:
         with pytest.raises(ValueError):
             verify_prop41(6)
         with pytest.raises(ValueError):
-            verify_prop41(20)
+            verify_prop41(SPAN_DEGREE_CAP // 2 + 4)
 
-    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("n", [12, 16, 20, SPAN_DEGREE_CAP // 2])
     def test_higher_dimensions_also_pass(self, n):
         assert all(c.passed for c in verify_prop41(n))
+
+    def test_reads_the_shared_span_algebra(self, monkeypatch):
+        _span_algebras()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("prop41 built its own semidihedral algebra")
+        monkeypatch.setattr(glrverify, "semidihedral_cohomology", refused)
+        assert all(c.passed for c in verify_prop41(4))
 
 
 class TestGuards:

@@ -19,6 +19,7 @@ from etakit.grouprep import (CharacterTable, FreeUnitaryRep, InclusionMap,
                              is_quaternion_type, is_real_type,
                              quaternion_free_rep, restrict_virtual,
                              table_from_json)
+from oracles import validate_columns
 
 
 class TestBuiltinGroups:
@@ -83,6 +84,7 @@ class TestCharacterTables:
     @pytest.mark.parametrize("tag", ["c2", "c4", "c8", "v2", "d8", "q8", "sd16"])
     def test_orthogonality_rows_and_columns(self, tag):
         character_table(tag).validate_orthogonality()
+        validate_columns(character_table(tag))
 
     def test_q8_tau_values(self):
         t = character_table("q8")
