@@ -9,9 +9,8 @@ from .grouprep import (CharacterTable, FiniteGroup, FreeUnitaryRep,
                        NotIrreducibleError, OddLengthError,
                        UnsupportedGroupError, ValidationError,
                        VirtualCharacter, builtin_group, character_table,
-                       cyclic_free_rep, find_embeddings, frobenius_schur,
-                       is_quaternion_type, is_real_type, quaternion_free_rep,
-                       restrict_virtual)
+                       cyclic_free_rep, frobenius_schur, is_quaternion_type,
+                       is_real_type, quaternion_free_rep, restrict_virtual)
 from .eta import (EtaValue, FloatRangeError, LensSpec, ManifoldSpec, Modulus,
                   NonRationalSumError, eta_donnelly, eta_donnelly_float,
                   eta_of, eta_of_float, eta_order, rational_determinant,

@@ -28,9 +28,10 @@ from .f2ring import (F2ParseError, PresentedF2Algebra, SteenrodData,
                      lens_space_cohomology, sd_to_circle_bundle,
                      sd_to_d8_restriction, semidihedral_cohomology,
                      semidihedral_steenrod, stiefel_whitney, wu_classes)
-from .grouprep import (CharacterTable, InclusionMap, ValidationError,
-                       VirtualCharacter, builtin_group, character_table,
-                       restrict_virtual, table_from_json)
+from .grouprep import (NAMED_INCLUSIONS, CharacterTable, InclusionMap,
+                       ValidationError, VirtualCharacter, builtin_group,
+                       character_table, named_inclusion, restrict_virtual,
+                       table_from_json)
 from .infix import parse_infix
 
 
@@ -183,16 +184,6 @@ def _character_table_for(tag: str, cfg: Config) -> CharacterTable:
     return character_table(tag)
 
 
-_DEFAULT_IMAGES = {
-    ("sd16", "q8"): {"i": "s^2", "j": "t*s"},
-    ("sd16", "c8"): {"g": "s"},
-    ("sd16", "c2"): {"g": "t"},
-    ("sd16", "c4"): {"g": "s^2"},
-    ("q8", "c4"): {"g": "i"},
-    ("d8", "v2"): {"a": "f", "b": "r^2*f"},
-}
-
-
 # -- command handlers ------------------------------------------------------------------
 
 
@@ -249,14 +240,18 @@ def _cmd_restrict(args, cfg: Config) -> int:
     group = builtin_group(args.group)
     sub = builtin_group(args.subgroup)
     if args.images:
-        images = dict(item.split("=", 1) for item in args.images.split(","))
+        images = {}
+        for item in args.images.split(","):
+            name, eq, image = item.partition("=")
+            if not eq:
+                raise ParseError(f"--images item {item!r} is not name=element")
+            images[name] = image
+        inclusion = InclusionMap.from_images(sub, group, images)
+    elif (group.name, sub.name) in NAMED_INCLUSIONS:
+        inclusion = named_inclusion(group.name, sub.name)
     else:
-        key = (group.name, sub.name)
-        if key not in _DEFAULT_IMAGES:
-            raise ValidationError(f"no default inclusion for {sub.name} in "
-                                  f"{group.name}; pass --images")
-        images = _DEFAULT_IMAGES[key]
-    inclusion = InclusionMap.from_images(sub, group, images)
+        raise ValidationError(f"no default inclusion for {sub.name} in "
+                              f"{group.name}; pass --images")
     chi = parse_character(_character_table_for(args.group, cfg), args.chi)
     restricted = restrict_virtual(chi, inclusion)
     if args.format == "json":
@@ -306,26 +301,18 @@ def _cmd_wu(args, cfg: Config) -> int:
     return 0
 
 
-_BUILTIN_MAPS = {
-    "sd-to-d8": lambda cfg: sd_to_d8_restriction(
-        semidihedral_cohomology(cfg.degree_bound), dihedral_cohomology(cfg.degree_bound)),
-    "d8-to-v2": lambda cfg: d8_to_v2_restriction(
-        dihedral_cohomology(cfg.degree_bound), klein_cohomology(cfg.degree_bound)),
-}
-
-
 def _cmd_push(args, cfg: Config) -> int:
-    key = args.map
-    m = re.fullmatch(r"sd-to-m(\d+)", key)
-    if m:
-        hom = sd_to_circle_bundle(semidihedral_cohomology(cfg.degree_bound),
-                                  circle_bundle_cohomology(int(m.group(1)) // 2,
-                                                           cfg.degree_bound))
-    elif key in _BUILTIN_MAPS:
-        hom = _BUILTIN_MAPS[key](cfg)
+    if args.map == "sd-to-d8":
+        build = sd_to_d8_restriction
+    elif args.map == "d8-to-v2":
+        build = d8_to_v2_restriction
+    elif re.fullmatch(r"sd-to-m\d+", args.map):
+        build = sd_to_circle_bundle
     else:
-        raise ValidationError(f"unknown map {key!r}; use sd-to-d8, d8-to-v2 "
+        raise ValidationError(f"unknown map {args.map!r}; use sd-to-d8, d8-to-v2 "
                               f"or sd-to-m<2n>")
+    src_tag, _, tgt_tag = args.map.partition("-to-")
+    hom = build(_resolve_algebra(src_tag, cfg), _resolve_algebra(tgt_tag, cfg))
     push = dual_pushforward_map(hom, args.degree)
     src, tgt = hom.source, hom.target
     if args.format == "json":

@@ -1,15 +1,17 @@
 """Exact eta invariants of spherical space forms and lens-space bundles.
 
-One engine, `eta_donnelly`, evaluates every value: the Donnelly sum over
+One engine evaluates every value: the Donnelly sum of `eta_donnelly` over
 the non-identity classes of a fixed-point-free representation, in
 Q(zeta_n).  A lens space is the case G = C_l with the representation
 `cyclic_free_rep` builds from its weights; a lens-space bundle over S^2
 adds the Chern numbers of its line bundles, which multiply each summand by
 the bundle factor.  `eta_of` evaluates a `ManifoldSpec` against any
-virtual character of its group, or of its inclusion's target: the
-character may have nonzero dimension, since a difference of manifolds is
-the difference of their values.  A total that is not rational raises
-`NonRationalSumError`; values reduce to orders in R/Z or R/2Z.
+virtual character of its group, or of its inclusion's target, whose class
+values it reads through the inclusion's class map (restriction
+naturality) without decomposing: the character may have nonzero
+dimension, since a difference of manifolds is the difference of their
+values.  A total that is not rational raises `NonRationalSumError`;
+values reduce to orders in R/Z or R/2Z.
 `eta_donnelly_float` and the weight-tuple formula behind `eta_of_float`
 are the double-precision mirrors; a value they cannot hold raises
 `FloatRangeError`.  Bordism never appears: a manifold is
@@ -28,9 +30,10 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exactnum import CyclotomicNumber, root_of_unity
-from .grouprep import (FreeUnitaryRep, InclusionMap, VirtualCharacter,
-                       character_table, cyclic_free_rep, is_quaternion_type,
-                       is_real_type, quaternion_free_rep, restrict_virtual)
+from .grouprep import (FiniteGroup, FreeUnitaryRep, InclusionMap,
+                       VirtualCharacter, character_table, cyclic_free_rep,
+                       is_quaternion_type, is_real_type, quaternion_free_rep,
+                       restrict_virtual)
 
 
 class NonRationalSumError(ArithmeticError):
@@ -146,13 +149,20 @@ def eta_donnelly(tau: FreeUnitaryRep, rho: VirtualCharacter) -> Fraction:
     rho need not have virtual dimension zero (differences of manifolds are
     computed by evaluating non-reduced characters), but order semantics in
     R/Z or R/2Z only make sense when it does."""
-    if rho.group is not tau.group:
+    return _donnelly_sum(tau, rho.group, rho.values)
+
+
+def _donnelly_sum(tau: FreeUnitaryRep, group: FiniteGroup,
+                  values: Sequence[CyclotomicNumber]) -> Fraction:
+    """The sum of `eta_donnelly` for a character on `group` given by its
+    class values."""
+    if group is not tau.group:
         raise ValueError("representation and character live on different groups")
     n = tau.root_order
     total = CyclotomicNumber.from_rational(0)
     for c in range(1, len(tau.group.classes)):
         exps = tau.eigen_exponents[c]
-        term = rho.values[c] * tau.det_sqrt[c]
+        term = values[c] * tau.det_sqrt[c]
         for e in exps:
             term = term * _inverse_one_minus_root(n, e)
         if tau.chern is not None:
@@ -211,21 +221,24 @@ def _lens_float(spec: LensSpec, rho: VirtualCharacter) -> float:
 
 def eta_of(manifold: ManifoldSpec, rho: VirtualCharacter) -> Fraction:
     """Eta of the manifold against any virtual character rho on its group
-    (or on the inclusion's target, restricting along it first: naturality).
-    rho may have nonzero dimension: a difference of two manifolds is the
-    difference of their values.  Bott factors do not change the value."""
-    if manifold.inclusion is not None:
-        if rho.group is not manifold.inclusion.target:
+    (or on the inclusion's target, read on the source classes through the
+    inclusion's class map: naturality).  rho may have nonzero dimension: a
+    difference of two manifolds is the difference of their values.  Bott
+    factors do not change the value."""
+    group, values = rho.group, rho.values
+    inclusion = manifold.inclusion
+    if inclusion is not None:
+        if group is not inclusion.target:
             raise ValueError("character must live on the inclusion's target group")
-        rho = restrict_virtual(rho, manifold.inclusion)
+        group, values = inclusion.source, [values[c] for c in inclusion.class_map]
     lens = manifold.lens
     if lens is None:
         tau = quaternion_free_rep(manifold.quaternion_k)
     else:
         tau = cyclic_free_rep(lens.l, lens.a, lens.chern)
-        if rho.group is not tau.group:
+        if group is not tau.group:
             raise ValueError(f"character must live on C_{lens.l}")
-    return eta_donnelly(tau, rho)
+    return _donnelly_sum(tau, group, values)
 
 
 def eta_of_float(manifold: ManifoldSpec, rho: VirtualCharacter) -> float:

@@ -27,9 +27,9 @@ from .f2ring import (circle_bundle_cohomology, circle_bundle_steenrod,
                      sd_to_circle_bundle, sd_to_d8_restriction,
                      semidihedral_cohomology, sq1_branch_enumerate,
                      stiefel_whitney)
-from .grouprep import (CharacterTable, InclusionMap, VirtualCharacter,
-                       builtin_group, character_table, find_embeddings,
-                       restrict_virtual)
+from .grouprep import (NAMED_INCLUSIONS, CharacterTable, InclusionMap,
+                       VirtualCharacter, builtin_group, character_table,
+                       named_inclusion, restrict_virtual)
 
 
 @dataclass
@@ -122,22 +122,6 @@ def table_ko_order(n: int) -> int:
 # -- shared scenario data -----------------------------------------------------
 
 
-def choose_q8_labeling() -> tuple[InclusionMap, str]:
-    """Search the embeddings of the quaternion subgroup <s^2, t*s> and pick
-    one under which rho2 restricts to k1 + k3; the choice fixes which
-    quaternion cyclic subgroup is called <i>."""
-    sd, q8 = builtin_group("sd16"), builtin_group("q8")
-    tq8 = character_table("q8")
-    want = tq8.irreducible("k1") + tq8.irreducible("k3")
-    rho2 = character_table("sd16").irreducible("rho2")
-    for inc in find_embeddings(q8, sd):
-        if restrict_virtual(rho2, inc) == want:
-            desc = ", ".join(f"{g} -> {sd.element_names[inc.element_map[idx]]}"
-                             for g, idx in q8.generators.items())
-            return inc, desc
-    raise RuntimeError("no admissible quaternion labeling found")
-
-
 @dataclass(frozen=True)
 class Sd16Fixture:
     """The fixed group-side objects of the SD16 accounting: character
@@ -149,7 +133,6 @@ class Sd16Fixture:
     c8: InclusionMap
     c2: InclusionMap
     q8: InclusionMap
-    labeling: str
     c4i: InclusionMap  # C4 -> <i> in Q8 -> SD16
     c4j: InclusionMap  # C4 -> <j> in Q8 -> SD16
     columns: tuple[VirtualCharacter, ...]
@@ -164,21 +147,19 @@ def _sd16_fixture() -> Sd16Fixture:
     a gap at the fourth slot; 2 - rho2 is the unique completion consistent
     with every stated cell, and is what the kappa-restriction argument
     uses."""
-    sd, q8 = builtin_group("sd16"), builtin_group("q8")
     tsd, tq8 = character_table("sd16"), character_table("q8")
-    q8_in_sd, labeling = choose_q8_labeling()
-    c4i, c4j = (InclusionMap.from_images(builtin_group("c4"), q8, {"g": g}).then(q8_in_sd)
-                for g in "ij")
+    q8_in_sd = named_inclusion("sd16", "q8")
+    c4i, c4j = (InclusionMap.from_images(builtin_group("c4"), q8_in_sd.source,
+                                         {"g": g}).then(q8_in_sd) for g in "ij")
     one, rho, rho5 = tsd.trivial(), tsd.irreducible("rho"), tsd.irreducible("rho5")
     columns = (one - tsd.irreducible("chi3"), one - tsd.irreducible("chi2"),
                one - tsd.irreducible("chi4"), 2 * one - tsd.irreducible("rho2"),
                2 * one - rho, 4 * one + rho * rho5 - 2 * rho - 2 * rho5)
     t = 2 - tq8.irreducible("tau")
     return Sd16Fixture(
-        tsd, tq8, character_table("c8"),
-        InclusionMap.from_images(builtin_group("c8"), sd, {"g": "s"}),
-        InclusionMap.from_images(builtin_group("c2"), sd, {"g": "t"}),
-        q8_in_sd, labeling, c4i, c4j, columns, {1: t, 2: t ** 2, 3: t ** 3})
+        tsd, tq8, character_table("c8"), named_inclusion("sd16", "c8"),
+        named_inclusion("sd16", "c2"), q8_in_sd, c4i, c4j, columns,
+        {1: t, 2: t ** 2, 3: t ** 3})
 
 
 def free_quotients(n: int) -> dict[str, ManifoldSpec]:
@@ -277,21 +258,24 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
         raise ValueError("m_max is capped at 4")
     fx = _sd16_fixture()
     cols, rho2 = fx.columns, fx.tsd.irreducible("rho2")
+    kappa = restrict_virtual(rho2, fx.q8)
+    want = fx.tq8.irreducible("k1") + fx.tq8.irreducible("k3")
+    labeling = ", ".join(f"{g} -> {image}"
+                         for g, image in NAMED_INCLUSIONS[("sd16", "q8")].items())
     out = [claim("sd.labeling", "a quaternion labeling with rho2 -> k1+k3 exists "
-                 f"(chosen: {fx.labeling})", True, True)]
-    out.append(claim("sd.kappa_restrict", "rho2 restricted to the quaternion subgroup",
-                     str(fx.tq8.irreducible("k1") + fx.tq8.irreducible("k3")),
-                     str(restrict_virtual(rho2, fx.q8))))
+                 f"(chosen: {labeling})", True, kappa == want),
+           claim("sd.kappa_restrict", "rho2 restricted to the quaternion subgroup",
+                 str(want), str(kappa))]
     doubled = 2 * (fx.tc8.irreducible("r4") - fx.tc8.irreducible("r0"))
-
-    def cancel(row: ManifoldSpec) -> Fraction:
-        """Column cancelation col1 + col3 - col2, exact values."""
-        vals = [normalized_entry(row, chi) for chi in cols[:3]]
-        return vals[0] + vals[2] - vals[1]
 
     for m in range(m_max + 1):
         n3, n7 = 8 * m + 3, 8 * m + 7
         q3, q7 = free_quotients(n3), free_quotients(n7)
+        # every row's entries under columns 1..3 and its column cancelation
+        # col1 + col3 - col2, exact values, evaluated once
+        first3 = {name: [normalized_entry(row, chi) for chi in cols[:3]]
+                  for name, row in q3.items()}
+        cancel = {name: v[0] + v[2] - v[1] for name, v in first3.items()}
 
         # kappa identity: rho2 against M1 - M2, refined range in dim 8m+3
         kval3 = eta_of(q3["M1"], rho2) - eta_of(q3["M2"], rho2)
@@ -309,14 +293,14 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
                          2 ** (2 * m + 2), eta_order(kval7, Modulus.Z)))
 
         # the lens row: entries under columns 1..3, magnitudes as displayed
-        l_entries = [abs(normalized_entry(q3["L"], chi)) for chi in cols[:3]]
         out.append(claim(f"sd.m{m}.L_row",
                          "lens row entries (2^-(m+1), 0, 2^-(m+1)) at columns 1-3",
                          (Fraction(1, 2 ** (m + 1)), Fraction(0), Fraction(1, 2 ** (m + 1))),
-                         tuple(l_entries)))
+                         tuple(abs(v) for v in first3["L"])))
 
         # the projective-space row, all six columns, magnitudes
-        rp_entries = [abs(normalized_entry(q3["RP"], chi)) for chi in cols]
+        rp_entries = [abs(v) for v in first3["RP"] +
+                      [normalized_entry(q3["RP"], chi) for chi in cols[3:]]]
         e = Fraction(1, 2 ** (4 * m + 3))
         out.append(claim(f"sd.m{m}.RP_row",
                          "projective row (0, e, e, e, 2e, 2e) with e = 2^-(4m+3); "
@@ -341,12 +325,11 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
                          eta_of(on_q8, fx.two_minus_tau[2]), eta_of(q3["MQ"], cols[5])))
 
         out.append(claim(f"sd.m{m}.cancel_L", "canceled column: lens entry 2^-m",
-                         Fraction(1, 2 ** m), abs(cancel(q3["L"]))))
+                         Fraction(1, 2 ** m), abs(cancel["L"])))
         out.append(claim(f"sd.m{m}.cancel_rest",
                          "canceled column vanishes on the other rows",
                          (Fraction(0),) * 3,
-                         (cancel(q3["RP"]), cancel(q3["M1"]) - cancel(q3["M2"]),
-                          cancel(q3["MQ"]))))
+                         (cancel["RP"], cancel["M1"] - cancel["M2"], cancel["MQ"])))
 
         # order accounting in dim 8m+3
         rp_q8hat = eta_of(q3["RP"], cols[2])
@@ -358,7 +341,7 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
                          2 ** (8 + 12 * m),
                          2 ** (2 * m + 2) * det3 * 2 ** (4 * m + 3)))
         out.append(claim(f"sd.m{m}.c8_factor3", "canceled lens entry has order 2^m in R/Z",
-                         2 ** m, eta_order(cancel(q3["L"]), Modulus.Z)))
+                         2 ** m, eta_order(cancel["L"], Modulus.Z)))
         out.append(claim(f"sd.m{m}.total3",
                          "2^(8+12m) * 2^m = 2^(8+13m) = derived |ko_(8m+3)|",
                          (2 ** (8 + 13 * m), 2 ** (8 + 13 * m)),

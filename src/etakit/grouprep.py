@@ -4,7 +4,10 @@ Groups are stored as explicit multiplication tables built from their
 presentations; conjugacy classes carry a fixed canonical ordering so the
 builtin character tables can be stored positionally.  Subgroup inclusions
 are given by generator images and validated exhaustively, which is cheap
-at these orders (|G| <= 64).
+at these orders (|G| <= 64); each records its class map, the target class
+of every source class, and restriction reads the ambient values through
+it.  `NAMED_INCLUSIONS` is the one table of the named subgroups (Q8, C8,
+C4 and C2 in SD16, C4 in Q8, V2 in D8), built by `named_inclusion`.
 """
 
 from __future__ import annotations
@@ -523,7 +526,8 @@ class InclusionMap:
     """Injective homomorphism H -> G recorded on all elements.
 
     Built from generator images and validated exhaustively; composition
-    and restriction of characters go through `element_map`.
+    goes through `element_map`.  `class_map[c]` is the target class of the
+    source class c, and restriction of characters goes through it.
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup,
@@ -532,10 +536,15 @@ class InclusionMap:
         self.target = target
         self.element_map = tuple(element_map)
         self._validate()
+        self.class_map = tuple(target.class_of[self.element_map[cls[0]]]
+                               for cls in source.classes)
 
     @staticmethod
     def from_images(source: FiniteGroup, target: FiniteGroup,
                     images: Mapping[str, Union[str, int]]) -> "InclusionMap":
+        for gen_name in images:
+            if gen_name not in source.generators:
+                raise NotASubgroupMapError(f"{source.name} has no generator {gen_name!r}")
         img: dict[int, int] = {0: 0}
         for gen_name, gen_idx in source.generators.items():
             if gen_name not in images:
@@ -582,37 +591,26 @@ def restrict_virtual(chi: VirtualCharacter, inclusion: InclusionMap) -> VirtualC
     """Restriction along H -> G, re-expressed exactly in H's irreducible basis."""
     if chi.group is not inclusion.target:
         raise ValueError("character is not defined on the inclusion's target group")
-    g = inclusion.target
     return character_table(inclusion.source.name).decompose(
-        [chi.values[g.class_of[inclusion.element_map[cls[0]]]]
-         for cls in inclusion.source.classes])
+        [chi.values[c] for c in inclusion.class_map])
 
 
-def find_embeddings(source: FiniteGroup, target: FiniteGroup) -> list[InclusionMap]:
-    """All injective homomorphisms source -> target, by brute force over
-    generator images."""
-    gen_names = list(source.generators)
-    found = []
-    seen = set()
+# generator images of the named subgroups, keyed by (group, subgroup)
+NAMED_INCLUSIONS = {
+    ("sd16", "q8"): {"i": "s^2", "j": "s*t"},
+    ("sd16", "c8"): {"g": "s"},
+    ("sd16", "c2"): {"g": "t"},
+    ("sd16", "c4"): {"g": "s^2"},
+    ("q8", "c4"): {"g": "i"},
+    ("d8", "v2"): {"a": "f", "b": "r^2*f"},
+}
 
-    def rec(i: int, images: dict):
-        if i == len(gen_names):
-            try:
-                inc = InclusionMap.from_images(source, target, images)
-            except NotASubgroupMapError:
-                return
-            if inc.element_map not in seen:
-                seen.add(inc.element_map)
-                found.append(inc)
-            return
-        name = gen_names[i]
-        order = source.element_order(source.generators[name])
-        for t in range(target.order):
-            if target.element_order(t) == order:
-                rec(i + 1, {**images, name: t})
 
-    rec(0, {})
-    return found
+@lru_cache(maxsize=None)
+def named_inclusion(group: str, subgroup: str) -> InclusionMap:
+    """The inclusion of `NAMED_INCLUSIONS[(group, subgroup)]`, built once."""
+    return InclusionMap.from_images(builtin_group(subgroup), builtin_group(group),
+                                    NAMED_INCLUSIONS[(group, subgroup)])
 
 
 # -- fixed-point-free unitary representations --------------------------------

@@ -72,6 +72,12 @@ class TestDocumentedCommands:
         golden = json.loads((GOLDEN / "push_json.json").read_text(encoding="utf-8"))
         assert run_cli(capsys, *command.split())[:2] == (0, golden[command])
 
+    @pytest.mark.parametrize("command", list(json.loads(
+        (GOLDEN / "restrict_defaults.json").read_text(encoding="utf-8"))))
+    def test_restrict_defaults(self, capsys, command):
+        golden = json.loads((GOLDEN / "restrict_defaults.json").read_text(encoding="utf-8"))
+        assert run_cli(capsys, *command.split())[:2] == (0, golden[command])
+
     def test_determinism(self, capsys):
         outputs = set()
         for _ in range(2):
@@ -213,6 +219,23 @@ class TestOtherCommands:
                             "--subgroup", "c8", "--images", "g=s",
                             "--chi", "rho")
         assert out == "r1 + r3\n"
+
+    @pytest.mark.parametrize("images,err", [
+        ("i", "ParseError: --images item 'i' is not name=element"),
+        ("i=s^2,j", "ParseError: --images item 'j' is not name=element"),
+        ("i=s^2,j=t*s,k=t", "NotASubgroupMapError: q8 has no generator 'k'"),
+    ], ids=["no-equals", "second-item", "unknown-generator"])
+    def test_restrict_bad_images(self, capsys, images, err):
+        assert run_cli(capsys, "restrict", "--group", "sd16", "--subgroup", "q8",
+                       "--images", images, "--chi", "rho2") == (1, "", err + "\n")
+
+    @pytest.mark.parametrize("target,err", [
+        ("m9", "ValidationError: total-space algebras have even dimension"),
+        ("m2", "ValueError: n must be >= 2"),
+    ])
+    def test_push_to_bad_total_space(self, capsys, target, err):
+        assert run_cli(capsys, "push", "--map", f"sd-to-{target}", "--degree", "2") == \
+            (1, "", err + "\n")
 
     def test_bad_generator_position_skips_whitespace(self, capsys):
         code, _, err = run_cli(capsys, "nf", "--algebra", "sd", "--expr", "x +\t$")

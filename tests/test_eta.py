@@ -13,6 +13,7 @@ from etakit.eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
                         eta_order, rational_determinant, recursion_check,
                         span_order_lower_bound, thm31_modulus)
 from etakit.exactnum import CyclotomicNumber, root_of_unity
+from etakit.glrverify import free_quotients
 from etakit.grouprep import (InclusionMap, NotFreeError, OddLengthError,
                              VirtualCharacter, builtin_group, character_table,
                              cyclic_free_rep, quaternion_free_rep,
@@ -392,6 +393,17 @@ class TestModulusRule:
 
 
 class TestManifoldsAndVectors:
+    @pytest.mark.parametrize("n", [3, 7])
+    @settings(max_examples=10, deadline=None)
+    @given(coeffs=st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+    def test_class_map_matches_restriction(self, n, coeffs):
+        # every fixture row: the C8 lens space, C2, both C4 and the Q8 quotient
+        chi = VirtualCharacter(character_table("sd16"), coeffs)
+        for row in free_quotients(n).values():
+            tau = (quaternion_free_rep(row.quaternion_k) if row.lens is None
+                   else cyclic_free_rep(row.lens.l, row.lens.a))
+            assert eta_of(row, chi) == eta_donnelly(tau, restrict_virtual(chi, row.inclusion))
+
     def test_naturality_through_inclusion(self):
         sd = builtin_group("sd16")
         inc = InclusionMap.from_images(builtin_group("c8"), sd, {"g": "s"})

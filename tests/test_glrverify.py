@@ -6,13 +6,12 @@ import pytest
 
 from etakit import glrverify
 from etakit.glrverify import (SPAN_DEGREE_CAP, SUITES, _sd16_fixture,
-                              _span_algebras, choose_q8_labeling,
-                              free_quotients, kerap_lookup,
+                              _span_algebras, free_quotients, kerap_lookup,
                               klein_psc_generators, normalized_entry,
                               quaternion_certificate_matrix, run_report,
                               table_ko_order, verify_prop41, verify_prop51,
                               verify_prop53, verify_q8_orders, verify_sd16_odd)
-from etakit.grouprep import InclusionMap
+from etakit.grouprep import CharacterTable, InclusionMap
 
 
 class TestKerApTable:
@@ -51,29 +50,39 @@ class TestKerApTable:
             table_ko_order(8)
 
 
-class TestLabeling:
-    def test_labeling_is_recorded(self):
-        inc, desc = choose_q8_labeling()
-        assert "i ->" in desc and "j ->" in desc
-        assert inc.source.name == "q8" and inc.target.name == "sd16"
+def counted(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 class TestScenarioFixture:
     def test_built_once_across_calls(self, monkeypatch):
-        calls = {"then": 0, "find_embeddings": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-        monkeypatch.setattr(InclusionMap, "then", counted("then", InclusionMap.then))
-        monkeypatch.setattr(glrverify, "find_embeddings",
-                            counted("find_embeddings", glrverify.find_embeddings))
+        calls = {"then": 0}
+        monkeypatch.setattr(InclusionMap, "then", counted(calls, "then", InclusionMap.then))
         _sd16_fixture.cache_clear()
         for _ in range(2):
             assert all(c.passed for c in verify_sd16_odd(3))
-        assert calls == {"then": 2, "find_embeddings": 1}
+        assert calls == {"then": 2}
+
+    def test_each_sd16_cell_evaluated_once(self, monkeypatch):
+        # 186 calls when every cancelation re-evaluated its row's entries
+        calls = {"eta_of": 0}
+        monkeypatch.setattr(glrverify, "eta_of", counted(calls, "eta_of", glrverify.eta_of))
+        assert all(c.passed for c in verify_sd16_odd(3))
+        assert calls["eta_of"] <= 162
+
+    def test_decompose_only_for_restriction_claims_and_products(self, monkeypatch):
+        # sd.kappa_restrict and d5.restrict, plus rho*rho5, t**2 and t**3 in
+        # the fixture; eta values read the ambient characters through class maps
+        calls = {"decompose": 0}
+        monkeypatch.setattr(CharacterTable, "decompose",
+                            counted(calls, "decompose", CharacterTable.decompose))
+        _sd16_fixture.cache_clear()
+        assert not run_report("all").failures
+        assert calls["decompose"] == 5
 
     def test_fixture_shape(self):
         fx = _sd16_fixture()

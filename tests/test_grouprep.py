@@ -15,10 +15,10 @@ from etakit.grouprep import (CharacterTable, FreeUnitaryRep, InclusionMap,
                              NotIrreducibleError, OddLengthError,
                              UnsupportedGroupError, ValidationError,
                              VirtualCharacter, builtin_group, character_table,
-                             cyclic_free_rep, find_embeddings, frobenius_schur,
-                             is_quaternion_type, is_real_type,
-                             quaternion_free_rep, restrict_virtual,
-                             table_from_json)
+                             NAMED_INCLUSIONS, cyclic_free_rep,
+                             frobenius_schur, is_quaternion_type, is_real_type,
+                             named_inclusion, quaternion_free_rep,
+                             restrict_virtual, table_from_json)
 from oracles import validate_columns
 
 
@@ -340,11 +340,20 @@ class TestRestriction:
             assert restrict_virtual(a * b, inc) == \
                 restrict_virtual(a, inc) * restrict_virtual(b, inc)
 
-    def test_embedding_search_finds_quaternion_subgroup(self):
-        embeddings = find_embeddings(builtin_group("q8"), builtin_group("sd16"))
-        assert embeddings  # the subgroup <s^2, t*s> exists
-        images = {tuple(sorted(e.element_map)) for e in embeddings}
-        assert len(images) == 1  # a unique quaternion subgroup of order 8
+    def test_unknown_generator_name(self):
+        sd, q8 = builtin_group("sd16"), builtin_group("q8")
+        with pytest.raises(NotASubgroupMapError, match="q8 has no generator 'k'"):
+            InclusionMap.from_images(q8, sd, {"i": "s^2", "j": "t*s", "k": "t"})
+
+    @pytest.mark.parametrize("key", sorted(NAMED_INCLUSIONS))
+    def test_class_map_sends_classes_into_classes(self, key):
+        inc = named_inclusion(*key)
+        assert (inc.target.name, inc.source.name) == key
+        for cls, target_class in zip(inc.source.classes, inc.class_map):
+            assert {inc.target.class_of[inc.element_map[x]] for x in cls} == {target_class}
+
+    def test_named_inclusion_built_once(self):
+        assert named_inclusion("sd16", "q8") is named_inclusion("sd16", "q8")
 
 
 class TestFreeRepresentations:
