@@ -245,6 +245,8 @@ def _cmd_restrict(args, cfg: Config) -> int:
             name, eq, image = item.partition("=")
             if not eq:
                 raise ParseError(f"--images item {item!r} is not name=element")
+            if name in images:
+                raise ParseError(f"--images names the generator {name!r} twice")
             images[name] = image
         inclusion = InclusionMap.from_images(sub, group, images)
     elif (group.name, sub.name) in NAMED_INCLUSIONS:

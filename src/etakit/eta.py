@@ -2,21 +2,22 @@
 
 One engine evaluates every value: the Donnelly sum of `eta_donnelly` over
 the non-identity classes of a fixed-point-free representation, in
-Q(zeta_n).  A lens space is the case G = C_l with the representation
-`cyclic_free_rep` builds from its weights; a lens-space bundle over S^2
-adds the Chern numbers of its line bundles, which multiply each summand by
-the bundle factor.  `eta_of` evaluates a `ManifoldSpec` against any
-virtual character of its group, or of its inclusion's target, whose class
-values it reads through the inclusion's class map (restriction
-naturality) without decomposing: the character may have nonzero
-dimension, since a difference of manifolds is the difference of their
-values.  A total that is not rational raises `NonRationalSumError`;
-values reduce to orders in R/Z or R/2Z.
+Q(zeta_n), with no field division: each eigenvalue factor (1 - zeta_n^e)^-1
+is the closed form `exactnum.inverse_one_minus_root`.  A lens space is the
+case G = C_l with the representation `cyclic_free_rep` builds from its
+weights; a lens-space bundle over S^2 adds the Chern numbers of its line
+bundles, which multiply each summand by the bundle factor.  `eta_of`
+evaluates a `ManifoldSpec` against any virtual character of its group, or
+of its inclusion's target, whose class values it reads through the
+inclusion's class map (restriction naturality) without decomposing: the
+character may have nonzero dimension, since a difference of manifolds is
+the difference of their values.  A total that is not rational raises
+`NonRationalSumError`; values reduce to orders in R/Z or R/2Z.
 `eta_donnelly_float` and the weight-tuple formula behind `eta_of_float`
 are the double-precision mirrors; a value they cannot hold raises
-`FloatRangeError`.  Bordism never appears: a manifold is
-just the parameter data of its defining free action, and multiplying by
-the 8-dimensional Bott manifold is a dimension shift that keeps the value.
+`FloatRangeError`.  Bordism never appears: a manifold is just the
+parameter data of its defining free action, and multiplying by the
+8-dimensional Bott manifold is a dimension shift that keeps the value.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exactnum import CyclotomicNumber, root_of_unity
+from .exactnum import CyclotomicNumber, inverse_one_minus_root
 from .grouprep import (FiniteGroup, FreeUnitaryRep, InclusionMap,
                        VirtualCharacter, character_table, cyclic_free_rep,
                        is_quaternion_type, is_real_type, quaternion_free_rep,
@@ -132,12 +132,6 @@ class ManifoldSpec:
 # -- the Donnelly sum ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _inverse_one_minus_root(n: int, e: int) -> CyclotomicNumber:
-    """(1 - zeta_n^e)^-1 for 0 < e < n, computed once per (n, e)."""
-    return (1 - root_of_unity(n, e)).inverse()
-
-
 def eta_donnelly(tau: FreeUnitaryRep, rho: VirtualCharacter) -> Fraction:
     """|G|^-1 sum over non-identity classes of
     size * Tr(rho) * det_sqrt(tau) / det(I - tau), evaluated exactly.
@@ -155,7 +149,8 @@ def eta_donnelly(tau: FreeUnitaryRep, rho: VirtualCharacter) -> Fraction:
 def _donnelly_sum(tau: FreeUnitaryRep, group: FiniteGroup,
                   values: Sequence[CyclotomicNumber]) -> Fraction:
     """The sum of `eta_donnelly` for a character on `group` given by its
-    class values."""
+    class values.  Every eigenvalue factor, in the determinant and in the
+    Chern factor, is the cached closed form of (1 - zeta_n^e)^-1."""
     if group is not tau.group:
         raise ValueError("representation and character live on different groups")
     n = tau.root_order
@@ -164,13 +159,13 @@ def _donnelly_sum(tau: FreeUnitaryRep, group: FiniteGroup,
         exps = tau.eigen_exponents[c]
         term = values[c] * tau.det_sqrt[c]
         for e in exps:
-            term = term * _inverse_one_minus_root(n, e)
+            term = term * inverse_one_minus_root(n, e)
         if tau.chern is not None:
             # (1 + lambda)/(1 - lambda) = 2 (1 - lambda)^-1 - 1
             factor = CyclotomicNumber.from_rational(0)
             for e, cj in zip(exps, tau.chern):
                 if cj:
-                    factor = factor + Fraction(cj, 2) * (2 * _inverse_one_minus_root(n, e) - 1)
+                    factor = factor + Fraction(cj, 2) * (2 * inverse_one_minus_root(n, e) - 1)
             term = term * factor
         total = total + tau.group.class_sizes[c] * term
     r = (total * Fraction(1, tau.group.order)).as_rational()

@@ -8,14 +8,14 @@ equality, rationality tests and serialization are all exact.
 A product is an integer convolution followed by one reduction by the
 monic integer Phi_n, which walks the nonzero low terms of Phi_n; for
 n = 2^k that is the single term of x^(n/2) + 1 (negacyclic folding).
-Inverses descend the tower Q(zeta_n) > Q(zeta_(n/2)) while 4 | n: the
-norm x * x(-zeta) has only even powers of zeta, so it lies in the smaller
-field.  When 4 does not divide n, the product of the other Galois
-conjugates of x is N(x)/x for the rational norm N(x), and dividing it by
-N(x) gives the inverse.  Phi_n itself comes from exact integer division of
-x^n - 1 by the monic Phi_d of the proper divisors d of n, so `Fraction`
-appears only where values enter or leave the module.  Everything is
-immutable and safe to share between threads.
+The product of the other Galois conjugates of x is N(x)/x for the
+rational norm N(x), and dividing it by N(x) gives the inverse.  The
+eigenvalue factors (1 - zeta_n^e)^-1 of the eta sums need no inverse: the
+geometric-sum identity writes each as an integer polynomial over n.
+Phi_n itself comes from exact integer division of x^n - 1 by the monic
+Phi_d of the proper divisors d of n, so `Fraction` appears only where
+values enter or leave the module.  Everything is immutable and safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -236,26 +236,14 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Inverse through the norm to Q(zeta_(n/2)) while 4 | n, and through
-        the norm to Q below that."""
+        """The product of the other Galois conjugates, N(x)/x, over the
+        rational norm N(x)."""
         num, den, n = self._num, self._den, self._n
         if not any(num):
             raise ZeroDivisionError("division by zero in Q(zeta_n)")
         if not any(num[1:]):
             p = num[0]
             return _make(n, (den if p > 0 else -den,) + num[1:], abs(p))
-        if n % 4 == 0:
-            # zeta -> -zeta is zeta -> zeta^(1 + n/2); Phi_n(x) = Phi_(n/2)(x^2)
-            conj = self.galois(1 + n // 2)
-            norm = self * conj
-            if any(norm._num[1::2]):
-                raise InvariantError("odd coefficients of the norm do not vanish")
-            inv = _make(n // 2, norm._num[0::2], norm._den).inverse()
-            up = [0] * len(num)
-            up[0::2] = inv._num
-            return conj * _make(n, tuple(up), inv._den)
-        # below the tower the other Galois conjugates multiply to N(x)/x,
-        # and the norm N(x) is rational
         rest = math.prod(self.galois(k) for k in range(2, n) if math.gcd(k, n) == 1)
         norm = self * rest
         if any(norm._num[1:]):
@@ -355,6 +343,21 @@ def root_of_unity(n: int, k: int) -> CyclotomicNumber:
     if n < 1:
         raise ValueError("root order must be >= 1")
     return _root(n, k % n)
+
+
+@lru_cache(maxsize=None)
+def inverse_one_minus_root(n: int, e: int) -> CyclotomicNumber:
+    """(1 - zeta_n^e)^-1 for n not dividing e, cached per (n, e).  For
+    y = zeta_n^e != 1, (1 - y) sum_{j<n} j y^j = sum_{0<j<n} y^j - (n-1) y^n
+    = -n, so the inverse is -(1/n) sum_j j y^j: no field division."""
+    if n < 1:
+        raise ValueError("root order must be >= 1")
+    if e % n == 0:
+        raise ZeroDivisionError(f"1 - zeta_{n}^{e} is zero")
+    poly = [0] * n
+    for j in range(1, n):
+        poly[e * j % n] -= j
+    return _normal(n, list(_reduce(poly, n)), n)
 
 
 def parse_cyclotomic(text: str) -> CyclotomicNumber:

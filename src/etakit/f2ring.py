@@ -737,7 +737,12 @@ def semidihedral_steenrod(sd: PresentedF2Algebra) -> SteenrodData:
 
 def circle_bundle_steenrod(m: PresentedF2Algebra,
                            sq1_z: Union[str, F2AlgebraElement]) -> SteenrodData:
-    """Steenrod data on the bundle total space for a chosen Sq^1(Z)."""
+    """Steenrod data on the bundle total space for a chosen Sq^1(Z).  The
+    relation check runs Cartan series quadratic in the dimension, so a
+    formal dimension above `WU_DIMENSION_CAP` is refused first."""
+    if m.poincare is not None and m.poincare[0] > WU_DIMENSION_CAP:
+        raise DegreeBoundExceededError(
+            f"formal dimension {m.poincare[0]} exceeds the Wu cap {WU_DIMENSION_CAP}")
     return SteenrodData(m, {("Z", 1): sq1_z})
 
 

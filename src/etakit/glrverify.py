@@ -223,11 +223,15 @@ def quaternion_certificate_matrix(m: int, residue: int) -> list[list[Fraction]]:
 # -- verifiers -----------------------------------------------------------------
 
 
+# the largest m of the per-m suites: m = 32 takes about 2 s for each
+M_MAX_CAP = 32
+
+
 def verify_q8_orders(m_max: int = 3) -> list[ClaimResult]:
     """Closed forms and orders for the quaternion sphere quotients, and the
     2x2 determinant certificates in dimensions 8m+3 and 8m+7."""
-    if m_max > 8:
-        raise ValueError("m_max is capped at 8")
+    if m_max > M_MAX_CAP:
+        raise ValueError(f"m_max is capped at {M_MAX_CAP}")
     chis = _sd16_fixture().two_minus_tau
     out = []
     for k in range(2 * m_max + 2):
@@ -254,8 +258,8 @@ def verify_sd16_odd(m_max: int = 3) -> list[ClaimResult]:
     """The odd-dimensional span matrix over the semi-dihedral group: every
     named cell recomputed by restriction and naturality, the column
     cancelation, and the order accounting against the reference table."""
-    if m_max > 4:
-        raise ValueError("m_max is capped at 4")
+    if m_max > M_MAX_CAP:
+        raise ValueError(f"m_max is capped at {M_MAX_CAP}")
     fx = _sd16_fixture()
     cols, rho2 = fx.columns, fx.tsd.irreducible("rho2")
     kappa = restrict_virtual(rho2, fx.q8)

@@ -205,10 +205,20 @@ _METACYCLIC = {
 }
 
 
+def _canonical_tag(tag: str) -> str:
+    """One spelling per builtin group: lowercase, cyclic tags as c<n>."""
+    tag = tag.lower()
+    if tag.startswith("c") and tag[1:].isdigit():
+        return f"c{int(tag[1:])}"
+    return tag
+
+
 @lru_cache(maxsize=None)
 def builtin_group(tag: str) -> FiniteGroup:
-    """Builtin groups: c2..c64 (cyclic), v2, d8, q8, sd16."""
-    tag = tag.lower()
+    """Builtin groups: c1..c64 (cyclic), v2, d8, q8, sd16.  Every spelling
+    of a tag gives the same object."""
+    if tag != _canonical_tag(tag):
+        return builtin_group(_canonical_tag(tag))
     if tag.startswith("c") and tag[1:].isdigit():
         n = int(tag[1:])
         if 1 <= n <= 64:
@@ -421,12 +431,11 @@ _SQRT2I = root_of_unity(8, 1) + root_of_unity(8, 3)  # sqrt(2) * i, exactly
 
 
 @lru_cache(maxsize=None)
-def character_table(tag_or_group) -> CharacterTable:
-    """Character table of a builtin group (stored data, validated exactly)."""
-    if isinstance(tag_or_group, FiniteGroup):
-        tag = tag_or_group.name
-    else:
-        tag = str(tag_or_group).lower()
+def character_table(tag: str) -> CharacterTable:
+    """Character table of a builtin group (stored data, validated exactly).
+    Every spelling of a tag gives the same object."""
+    if tag != _canonical_tag(tag):
+        return character_table(_canonical_tag(tag))
     group = builtin_group(tag)
     if tag.startswith("c"):
         n = group.order
@@ -659,17 +668,26 @@ class FreeUnitaryRep:
                 raise ValueError(f"det_sqrt^2 != det at class {c}")
 
 
+# bound the dimension, and so the work, of one sum; the claims use k <= 17
+# and at most 132 lens weights (the lens rows of dimension 263, m = 32)
+LENS_WEIGHT_CAP = 256
+QUATERNION_K_CAP = 1024
+
+
 def cyclic_free_rep(l: int, a: Sequence[int],
                     chern: Optional[Sequence[int]] = None) -> FreeUnitaryRep:
     """The C_l representation sum of rho_{a_j}, with the free-action rules
-    of a lens space S^(2n-1)/C_l: an even number of weights, every weight
-    odd and coprime to l.  The square root of the determinant is
-    rho_{(sum a_j)/2}; sum a_j is even, so it exists for every l.
+    of a lens space S^(2n-1)/C_l: an even number of weights, at most
+    `LENS_WEIGHT_CAP`, every weight odd and coprime to l.  The square root
+    of the determinant is rho_{(sum a_j)/2}; sum a_j is even, so it exists
+    for every l.
 
     `chern` attaches the line-bundle Chern numbers of a lens-space bundle
     (see `FreeUnitaryRep`).  Each (l, a, chern) is built once.
     """
     a = tuple(int(x) for x in a)
+    if len(a) > LENS_WEIGHT_CAP:
+        raise ValidationError(f"{len(a)} weights exceed the cap {LENS_WEIGHT_CAP}")
     if len(a) % 2 != 0:
         raise OddLengthError("weight tuple must have even length")
     if any(x % 2 == 0 for x in a):
@@ -688,10 +706,6 @@ def _cyclic_free_rep(l: int, a: tuple[int, ...],
     exps = [tuple(k * x % l for x in a) for k in range(l)]
     det_sqrt = [root_of_unity(l, k * half) for k in range(l)]
     return FreeUnitaryRep(group, len(a), l, exps, det_sqrt, chern)
-
-
-# bounds the dimension, and so the work, of one sum; the claims use k <= 17
-QUATERNION_K_CAP = 1024
 
 
 def quaternion_free_rep(k: int = 0) -> FreeUnitaryRep:

@@ -143,6 +143,11 @@ class TestEtaCommand:
         assert (code, out) == (1, "")
         assert err == "NotFreeError: every weight must be coprime to l = 6 for a free action\n"
 
+    def test_lens_weight_cap(self, capsys):
+        assert run_cli(capsys, "eta", "cyclic", "--l", "64", "--a", ",".join(["1"] * 1024),
+                       "--rho", "r0-r1") == (
+            1, "", "ValidationError: 1024 weights exceed the cap 256\n")
+
     @pytest.mark.parametrize("argv,error", [
         (("--k", "1", "--rho", "(2-tau)^100000"),
          "ValidationError: character power k = 100000 exceeds the cap 1024\n"),
@@ -214,6 +219,11 @@ class TestOtherCommands:
                             "--subgroup", "q8", "--chi", "rho2")
         assert out == "k1 + k3\n"
 
+    @pytest.mark.parametrize("group", ["sd16", "SD16"])
+    def test_restrict_any_spelling_of_the_group(self, capsys, group):
+        assert run_cli(capsys, "restrict", "--group", group, "--subgroup", "q8",
+                       "--chi", "rho2", "--images", "i=s^2,j=s*t") == (0, "k1 + k3\n", "")
+
     def test_restrict_custom_images(self, capsys):
         _, out, _ = run_cli(capsys, "restrict", "--group", "sd16",
                             "--subgroup", "c8", "--images", "g=s",
@@ -224,7 +234,8 @@ class TestOtherCommands:
         ("i", "ParseError: --images item 'i' is not name=element"),
         ("i=s^2,j", "ParseError: --images item 'j' is not name=element"),
         ("i=s^2,j=t*s,k=t", "NotASubgroupMapError: q8 has no generator 'k'"),
-    ], ids=["no-equals", "second-item", "unknown-generator"])
+        ("i=s^2,j=s*t,i=s", "ParseError: --images names the generator 'i' twice"),
+    ], ids=["no-equals", "second-item", "unknown-generator", "repeated-name"])
     def test_restrict_bad_images(self, capsys, images, err):
         assert run_cli(capsys, "restrict", "--group", "sd16", "--subgroup", "q8",
                        "--images", images, "--chi", "rho2") == (1, "", err + "\n")
@@ -271,11 +282,16 @@ class TestOtherCommands:
                           "--expr", "Z", timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Z\n", "")
 
-    def test_wu_dimension_cap_ends_quickly(self):
-        proc = run_module("-m", "etakit.cli", "wu", "--algebra", "m2048",
-                          "--branch", "spin", timeout=10)
+    @pytest.mark.parametrize("argv,dim", [
+        (("wu", "--algebra", "m2048", "--branch", "spin"), 2048),
+        (("wu", "--algebra", "m100000", "--branch", "spin"), 100000),
+        (("sq", "--algebra", "m100000", "--i", "1", "--expr", "Z"), 100000),
+    ], ids=["wu-2048", "wu-100000", "sq-100000"])
+    def test_wu_dimension_cap_ends_quickly(self, argv, dim):
+        # the cap is checked before the Steenrod relations are
+        proc = run_module("-m", "etakit.cli", *argv, timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            1, "", "DegreeBoundExceededError: formal dimension 2048 exceeds the Wu cap 1024\n")
+            1, "", f"DegreeBoundExceededError: formal dimension {dim} exceeds the Wu cap 1024\n")
 
     def test_basis(self, capsys):
         _, out, _ = run_cli(capsys, "basis", "--algebra", "d8", "--degree", "3")

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etakit import eta
 from etakit.eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
                         eta_donnelly, eta_donnelly_float, eta_of, eta_of_float,
                         eta_order, rational_determinant, recursion_check,
                         span_order_lower_bound, thm31_modulus)
-from etakit.exactnum import CyclotomicNumber, root_of_unity
+from etakit.exactnum import (CyclotomicNumber, inverse_one_minus_root,
+                             root_of_unity)
 from etakit.glrverify import free_quotients
 from etakit.grouprep import (InclusionMap, NotFreeError, OddLengthError,
                              VirtualCharacter, builtin_group, character_table,
@@ -233,23 +233,23 @@ class TestAgreement:
         self._check(l, kind, data)
 
 
-    def test_one_inverse_per_eigenvalue(self, monkeypatch):
+    def test_one_closed_form_per_eigenvalue(self, monkeypatch):
         # 14 classes of 4 eigenvalues, each with a nonzero Chern number, but
-        # only 14 distinct eigenvalues 1 - zeta_15^e to invert, once each
+        # only 14 distinct factors (1 - zeta_15^e)^-1, each built once from
+        # the geometric-sum closed form and none by a field inversion
         rep = cyclic_free_rep(15, (1, 7, 11, 13), (1, -1, 2, 3))
         chi = character_table("c15").irreducible("r1") - character_table("c15").trivial()
         inverted = []
         inverse = CyclotomicNumber.inverse
 
-        def counted(x):  # the rational norms inverted on the way are not counted
-            if x.as_rational() is None:
-                inverted.append(x.coeffs)
+        def counted(x):
+            inverted.append(x)
             return inverse(x)
         monkeypatch.setattr(CyclotomicNumber, "inverse", counted)
-        eta._inverse_one_minus_root.cache_clear()
+        inverse_one_minus_root.cache_clear()
         value = eta_donnelly(rep, chi)
-        assert sorted(inverted) == sorted((1 - root_of_unity(15, e)).coeffs
-                                          for e in range(1, 15))
+        assert inverted == []
+        assert inverse_one_minus_root.cache_info().misses == 14
         assert abs(float(value) - eta_donnelly_float(rep, chi)) < 1e-9
 
 
@@ -295,9 +295,8 @@ class TestFloatOracle:
     @given(l=st.sampled_from((12, 15, 24)), kind=st.sampled_from(("sphere", "bundle")),
            data=st.data())
     def test_composite_orders(self, l, kind, data):
-        # 12 and 24 invert down the norm tower to the base case at order 6,
-        # the product of the other Galois conjugates over the rational norm;
-        # 15 is a base case itself
+        # the float oracle at composite orders, against the closed-form
+        # eigenvalue factors reduced by a Phi_l with several low terms
         units = [u for u in range(1, l, 2) if math.gcd(u, l) == 1]
         a = data.draw(st.lists(st.sampled_from(units), min_size=2, max_size=4)
                       .filter(lambda v: len(v) % 2 == 0))

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from etakit import exactnum
 from etakit.exactnum import (CyclotomicNumber, InvariantError, cyclotomic_polynomial,
-                             euler_phi, parse_cyclotomic, root_of_unity)
+                             euler_phi, inverse_one_minus_root, parse_cyclotomic,
+                             root_of_unity)
 
 
 def rat(p, q=1):
@@ -336,7 +337,7 @@ def test_cyclotomic_polynomial_checks_the_remainder(monkeypatch):
         cyclotomic_polynomial.__wrapped__(6)
 
 
-@pytest.mark.parametrize("n,k", [(12, 5), (9, 1), (15, 2)], ids=["tower", "base-9", "base-15"])
+@pytest.mark.parametrize("n,k", [(12, 5), (9, 1), (15, 2)], ids=["order-12", "order-9", "order-15"])
 def test_inverse_checks_the_norm(monkeypatch, n, k):
     # with a broken Galois action the norm leaves its subfield
     x = 1 - root_of_unity(n, k)
@@ -345,15 +346,32 @@ def test_inverse_checks_the_norm(monkeypatch, n, k):
         x.inverse()
 
 
-# 9, 15, 30 and 31 are base cases (4 does not divide them); 12, 20, 24 and
-# 64 descend the tower first
+# odd, twice odd, prime and 2-power orders and multiples of 4 all take the
+# one path: the other Galois conjugates over the rational norm
 @pytest.mark.parametrize("n", [9, 12, 15, 20, 24, 30, 31, 64])
-def test_tower_inverse_of_roots_and_differences(n):
+def test_inverse_of_roots_and_differences(n):
     # 1 - zeta^k is a unit or a prime power element; both must invert exactly
     for k in range(1, n):
         x = 1 - root_of_unity(n, k)
         assert x * x.inverse() == 1
         assert x.inverse().coeffs == _ref_inverse(n, x.coeffs)
+
+
+def test_inverse_one_minus_root_matches_the_fraction_inverse():
+    # the geometric-sum closed form against the extended Euclidean reference
+    for n in range(2, 65):
+        for e in range(1, n):
+            x = 1 - root_of_unity(n, e)
+            assert inverse_one_minus_root(n, e).coeffs == _ref_inverse(n, x.coeffs), (n, e)
+
+
+def test_inverse_one_minus_root_reduces_e_and_rejects_zero():
+    assert inverse_one_minus_root(8, 9) == inverse_one_minus_root(8, 1)
+    for n, e in ((8, 0), (8, 16), (1, 5)):
+        with pytest.raises(ZeroDivisionError):
+            inverse_one_minus_root(n, e)
+    with pytest.raises(ValueError):
+        inverse_one_minus_root(0, 1)
 
 
 def test_root_of_unity_is_cached_per_residue():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from etakit import glrverify
+from etakit.exactnum import CyclotomicNumber, inverse_one_minus_root
 from etakit.glrverify import (SPAN_DEGREE_CAP, SUITES, _sd16_fixture,
                               _span_algebras, free_quotients, kerap_lookup,
                               klein_psc_generators, normalized_entry,
@@ -83,6 +84,16 @@ class TestScenarioFixture:
         _sd16_fixture.cache_clear()
         assert not run_report("all").failures
         assert calls["decompose"] == 5
+
+    def test_no_field_inversion(self, monkeypatch):
+        # every eigenvalue factor is the closed form; nothing else divides
+        calls = {"inverse": 0}
+        monkeypatch.setattr(CyclotomicNumber, "inverse",
+                            counted(calls, "inverse", CyclotomicNumber.inverse))
+        _sd16_fixture.cache_clear()
+        inverse_one_minus_root.cache_clear()
+        assert not run_report("all").failures
+        assert calls == {"inverse": 0}
 
     def test_fixture_shape(self):
         fx = _sd16_fixture()
@@ -232,4 +243,8 @@ class TestProp41Guards:
 class TestGuards:
     def test_q8_bound(self):
         with pytest.raises(ValueError):
-            verify_q8_orders(9)
+            verify_q8_orders(33)
+
+    def test_sd16_bound(self):
+        with pytest.raises(ValueError, match="capped at 32"):
+            verify_sd16_odd(33)

@@ -64,6 +64,12 @@ class TestBuiltinGroups:
         with pytest.raises(UnsupportedGroupError):
             builtin_group("c128")
 
+    def test_one_object_per_spelling(self):
+        assert builtin_group("SD16") is builtin_group("sd16")
+        assert builtin_group("c08") is builtin_group("c8")
+        assert character_table("C8") is character_table("c8")
+        assert character_table("SD16").group is builtin_group("Sd16")
+
     def test_element_expressions(self):
         sd = builtin_group("sd16")
         assert sd.element("t*s") == sd.element("s^3*t")
@@ -383,6 +389,11 @@ class TestFreeRepresentations:
             cyclic_free_rep(8, (1, 1, 5))
         with pytest.raises(NotFreeError):
             cyclic_free_rep(6, (3, 3))
+
+    def test_weight_count_cap(self):
+        assert cyclic_free_rep(8, (1,) * 256).dimension == 256
+        with pytest.raises(ValidationError, match="258 weights exceed the cap 256"):
+            cyclic_free_rep(8, (1,) * 258)
 
     def test_non_power_of_two_order(self):
         # sum(a) is even, so rho_{sum(a)/2} squares to the determinant for every l
