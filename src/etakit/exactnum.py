@@ -11,11 +11,15 @@ n = 2^k that is the single term of x^(n/2) + 1 (negacyclic folding).
 The product of the other Galois conjugates of x is N(x)/x for the
 rational norm N(x), and dividing it by N(x) gives the inverse.  The
 eigenvalue factors (1 - zeta_n^e)^-1 of the eta sums need no inverse: the
-geometric-sum identity writes each as an integer polynomial over n.
-Phi_n itself comes from exact integer division of x^n - 1 by the monic
-Phi_d of the proper divisors d of n, so `Fraction` appears only where
-values enter or leave the module.  Everything is immutable and safe to
-share between threads.
+geometric-sum identity writes each as an integer polynomial over n.  A
+weighted Hermitian sum sum w*x*conj(y), the character inner product,
+needs no field product either: `hermitian_sum` lifts every value into
+Z[x]/(x^N - 1) for the lcm N of the orders, where conjugation negates
+exponents, and reduces the integer sum by Phi_N once.  Phi_n itself
+comes from exact integer division of x^n - 1 by the monic Phi_d of the
+proper divisors d of n, so `Fraction` appears only where values enter
+or leave the module.  Everything is immutable and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 _CoeffLike = Union[int, Fraction]
+_ValueLike = Union[int, Fraction, "CyclotomicNumber"]
 
 
 class InvariantError(ArithmeticError):
@@ -358,6 +363,41 @@ def inverse_one_minus_root(n: int, e: int) -> CyclotomicNumber:
     for j in range(1, n):
         poly[e * j % n] -= j
     return _normal(n, list(_reduce(poly, n)), n)
+
+
+def hermitian_sum(weights: Iterable[int], xs: Iterable[_ValueLike],
+                  ys: Iterable[_ValueLike], divisor: int = 1) -> CyclotomicNumber:
+    """sum_i w_i * x_i * conj(y_i) / divisor, for integer weights and a
+    positive integer divisor, with one reduction.  Each value of order n is
+    lifted into Z[x]/(x^N - 1), N the lcm of the orders: its power-basis
+    exponent j goes to j*N/n, and to -j*N/n under conjugation.  The terms
+    are summed as one integer polynomial over a common denominator, which
+    is then reduced by Phi_N once."""
+    if divisor < 1:
+        raise ValueError("hermitian_sum requires a positive divisor")
+    terms = [(w, _cyc(x), _cyc(y)) for w, x, y in zip(weights, xs, ys)]
+    n = math.lcm(1, *(x._n for _, x, _ in terms), *(y._n for _, _, y in terms))
+    den = math.lcm(1, *(x._den * y._den for w, x, y in terms if w))
+    acc = [0] * n
+    for w, x, y in terms:
+        if not w:
+            continue
+        scale = w * (den // (x._den * y._den))
+        sx, sy = n // x._n, n // y._n
+        conj = [(-j * sy, c) for j, c in enumerate(y._num) if c]
+        for i, a in enumerate(x._num):
+            if a:
+                a *= scale
+                base = i * sx
+                for e, c in conj:
+                    acc[(base + e) % n] += a * c
+    return _normal(n, list(_reduce(acc, n)), den * divisor)
+
+
+def _cyc(value: _ValueLike) -> CyclotomicNumber:
+    if isinstance(value, CyclotomicNumber):
+        return value
+    return CyclotomicNumber.from_rational(value)
 
 
 def parse_cyclotomic(text: str) -> CyclotomicNumber:

@@ -8,6 +8,10 @@ code with the path it checks.
 - `validate_columns`: column orthogonality of a character table.  Row
   orthonormality of a square table implies it, and construction checks the
   rows; this is the independent check on the columns.
+- `hermitian_sum_per_term`: sum w * x * conj(y) / divisor with one field
+  product, conjugation and sum per term, the oracle of
+  `exactnum.hermitian_sum`, which lifts the values into one integer
+  polynomial and reduces it once.
 """
 
 from fractions import Fraction
@@ -78,14 +82,25 @@ def validate_dimensions(alg, max_degree: int) -> None:
 
 
 def validate_columns(table) -> None:
-    """sum_chi chi(c) conj(chi(c')) = |G|/|class c| * delta(c, c')."""
+    """sum_chi chi(c) conj(chi(c')) = |G|/|class c| * delta(c, c').  The
+    sum at (c', c) is the conjugate of the sum at (c, c'), so c' >= c
+    decides it."""
     group, k = table.group, len(table.rows)
+    conjugates = [[v.conjugate() for v in row] for row in table.rows]
     for c in range(k):
-        for cp in range(k):
+        for cp in range(c, k):
             total = CyclotomicNumber.from_rational(0)
-            for row in table.rows:
-                total = total + row[c] * row[cp].conjugate()
+            for row, conj in zip(table.rows, conjugates):
+                total = total + row[c] * conj[cp]
             want = Fraction(group.order, group.class_sizes[c]) if c == cp else 0
             if total.as_rational() != want:
                 raise ValueError(f"{group.name}: column orthogonality fails at "
                                  f"classes {c},{cp}")
+
+
+def hermitian_sum_per_term(weights, xs, ys, divisor):
+    """sum w * x * conj(y) / divisor, one term at a time in the field."""
+    total = CyclotomicNumber.from_rational(0)
+    for w, x, y in zip(weights, xs, ys):
+        total = total + w * x * y.conjugate()
+    return total * Fraction(1, divisor)

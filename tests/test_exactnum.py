@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from etakit import exactnum
 from etakit.exactnum import (CyclotomicNumber, InvariantError, cyclotomic_polynomial,
-                             euler_phi, inverse_one_minus_root, parse_cyclotomic,
-                             root_of_unity)
+                             euler_phi, hermitian_sum, inverse_one_minus_root,
+                             parse_cyclotomic, root_of_unity)
+from oracles import hermitian_sum_per_term
 
 
 def rat(p, q=1):
@@ -377,3 +378,39 @@ def test_inverse_one_minus_root_reduces_e_and_rejects_zero():
 def test_root_of_unity_is_cached_per_residue():
     assert root_of_unity(16, 17) is root_of_unity(16, 1)
     assert root_of_unity(16, -1) is root_of_unity(16, 15)
+
+
+HERMITIAN_ORDERS = (1, 2, 3, 4, 5, 8, 12, 16)
+
+
+@st.composite
+def hermitian_terms(draw):
+    """(weights, xs, ys, divisor): values of mixed orders with sparse
+    coefficients over non-unit denominators, some weights zero."""
+    def value():
+        order = draw(st.sampled_from(HERMITIAN_ORDERS))
+        phi = euler_phi(order)
+        return CyclotomicNumber(order, draw(st.lists(
+            st.one_of(st.just(Fraction(0)), small_rational), min_size=phi, max_size=phi)))
+    size = draw(st.integers(min_value=0, max_value=6))
+    weights = draw(st.lists(st.integers(min_value=-4, max_value=4),
+                            min_size=size, max_size=size))
+    xs = [value() for _ in range(size)]
+    ys = [value() for _ in range(size)]
+    return weights, xs, ys, draw(st.integers(min_value=1, max_value=24))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=hermitian_terms())
+def test_hermitian_sum_matches_the_per_term_oracle(case):
+    got, want = hermitian_sum(*case), hermitian_sum_per_term(*case)
+    assert got == want
+    assert got.order == want.order
+
+
+def test_hermitian_sum_coerces_rationals_and_checks_the_divisor():
+    i = root_of_unity(4, 1)
+    assert hermitian_sum([1, 2], [i, rat(1, 2)], [i, 3], 2) == rat(1, 2) + rat(3, 2)
+    assert hermitian_sum([], [], [], 1) == 0
+    with pytest.raises(ValueError):
+        hermitian_sum([1], [i], [i], 0)

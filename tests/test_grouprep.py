@@ -1,5 +1,6 @@
 """Groups, character tables, restriction, and free representations."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from etakit.exactnum import CyclotomicNumber, root_of_unity
 from etakit import grouprep
 from etakit.eta import LensSpec, ManifoldSpec, eta_donnelly, eta_of_float
-from etakit.grouprep import (CharacterTable, FreeUnitaryRep, InclusionMap,
+from etakit.grouprep import (CharacterTable, FiniteGroup, FreeUnitaryRep, InclusionMap,
                              NotASubgroupMapError, NotFreeError,
                              NotIrreducibleError, OddLengthError,
                              UnsupportedGroupError, ValidationError,
@@ -86,11 +87,104 @@ class TestBuiltinGroups:
         assert sd.element("s^-6") == sd.element("s^2")
 
 
+def _loop_group(mult, generators):
+    """A FiniteGroup on the elements 0..n-1 of a table; every class
+    representative is named, which fits the abelian tables used here."""
+    names = ["1"] + [f"e{a}" for a in range(1, len(mult))]
+    return FiniteGroup("t", names, mult, {f"g{g}": g for g in generators}, names)
+
+
+def _right_orbit(mult, g):
+    """0, 0*g, (0*g)*g, ...: what right multiplication by g reaches from 0."""
+    reached, x = {0}, 0
+    for _ in mult:
+        x = mult[x][g]
+        reached.add(x)
+    return reached
+
+
+def _associative(mult):
+    n = range(len(mult))
+    return all(mult[mult[a][b]][c] == mult[a][mult[b][c]] for a in n for b in n for c in n)
+
+
+class TestGroupAxioms:
+    def test_element_zero_must_be_the_identity(self):
+        with pytest.raises(ValueError, match="element 0 is not an identity"):
+            _loop_group([[1, 0], [0, 1]], [1])
+
+    def test_rows_must_be_permutations(self):
+        with pytest.raises(ValueError, match="rows must be permutations"):
+            _loop_group([[0, 1], [1, 1]], [1])
+
+    def test_non_associative_latin_square(self):
+        # a loop of order 5: a Latin square with identity 0, and 2 generates
+        # it under right multiplication, but (1*1)*2 = 2 != 1*(1*2) = 4
+        mult = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 1, 0],
+                [3, 4, 0, 2, 1], [4, 2, 1, 0, 3]]
+        with pytest.raises(ValueError, match="multiplication is not associative"):
+            _loop_group(mult, [2])
+
+    def test_generators_must_generate(self):
+        mult = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+        with pytest.raises(ValueError, match="the generators do not generate the group"):
+            _loop_group(mult, [2])
+        with pytest.raises(ValueError, match="the generators do not generate the group"):
+            _loop_group(mult, [4])
+        assert _loop_group(mult, [2, 3]).order == 4
+
+    def test_lights_test_agrees_with_every_triple(self):
+        # every Latin square of order 5 with identity 0, each checked on
+        # the first single generator that generates it, else on all four
+        n = 5
+        rows = [p for p in itertools.permutations(range(n))]
+
+        def squares(prefix):
+            if len(prefix) == n:
+                yield [list(r) for r in prefix]
+                return
+            for p in rows:
+                if p[0] == len(prefix) and all(p[c] != r[c] for r in prefix for c in range(n)):
+                    yield from squares(prefix + [p])
+
+        seen = 0
+        for mult in squares([tuple(range(n))]):
+            single = [g for g in range(1, n) if len(_right_orbit(mult, g)) == n]
+            generators = single[:1] or range(1, n)
+            if _associative(mult):
+                assert _loop_group(mult, generators).order == n
+            else:
+                with pytest.raises(ValueError, match="not associative"):
+                    _loop_group(mult, generators)
+            seen += 1
+        assert seen == 56
+
+    @pytest.mark.parametrize("tag", ["c1", "c7", "v2", "d8", "q8", "sd16"])
+    def test_inverse_table(self, tag):
+        g = builtin_group(tag)
+        for a in range(g.order):
+            assert g.mul(a, g.inv(a)) == 0 == g.mul(g.inv(a), a)
+
+
 class TestCharacterTables:
     @pytest.mark.parametrize("tag", ["c2", "c4", "c8", "v2", "d8", "q8", "sd16"])
     def test_orthogonality_rows_and_columns(self, tag):
         character_table(tag).validate_orthogonality()
         validate_columns(character_table(tag))
+
+    @pytest.mark.parametrize("row,cls,value,text", [
+        (0, 0, 2, "rows 0,0: <.,.> = 19/16"),
+        (2, 8, -1, "rows 0,2: <.,.> = -1/8"),
+        (3, 5, root_of_unity(16, 1), "rows 0,3: <.,.> = None"),
+        (15, 15, root_of_unity(8, 1), "rows 0,15: <.,.> = None"),
+    ])
+    def test_tampered_value_names_the_first_failing_rows(self, row, cls, value, text):
+        t = character_table("c16")
+        rows = [list(r) for r in t.rows]
+        rows[row][cls] = value
+        with pytest.raises(ValidationError) as info:
+            CharacterTable(t.group, t.irreducible_names, rows)
+        assert str(info.value) == "row orthogonality fails at " + text
 
     def test_q8_tau_values(self):
         t = character_table("q8")
@@ -358,6 +452,23 @@ class TestRestriction:
         for cls, target_class in zip(inc.source.classes, inc.class_map):
             assert {inc.target.class_of[inc.element_map[x]] for x in cls} == {target_class}
 
+    def test_map_fixing_the_generator_images_is_still_checked(self):
+        # bijective and sends g to g, but swaps g^2 and g^3
+        c4 = builtin_group("c4")
+        with pytest.raises(NotASubgroupMapError, match="map is not a homomorphism"):
+            InclusionMap(c4, c4, [0, 1, 3, 2])
+
+    def test_generator_check_agrees_with_every_pair(self):
+        c4 = builtin_group("c4")
+        for phi in itertools.permutations(range(4)):
+            homomorphism = all(phi[c4.mul(a, b)] == c4.mul(phi[a], phi[b])
+                               for a in range(4) for b in range(4))
+            if homomorphism:
+                assert InclusionMap(c4, c4, phi).element_map == phi
+            else:
+                with pytest.raises(NotASubgroupMapError, match="not a homomorphism"):
+                    InclusionMap(c4, c4, phi)
+
     def test_named_inclusion_built_once(self):
         assert named_inclusion("sd16", "q8") is named_inclusion("sd16", "q8")
 
@@ -459,6 +570,20 @@ class TestStructuredText:
                             {"name": "[k]", "size": 2}],
                 "irreducibles": []}
         with pytest.raises(ValidationError, match="class 1"):
+            table_from_json(data)
+
+    def test_cyclic_table_round_trip_is_validated(self):
+        t = character_table("c32")
+        data = {"group": "c32",
+                "irreducibles": [{"name": name, "values": [str(v) for v in row]}
+                                 for name, row in zip(t.irreducible_names, t.rows)]}
+        loaded = table_from_json(data)
+        loaded.validate_orthogonality()
+        for got, want in zip(loaded.rows, t.rows, strict=True):
+            assert got == want
+        data["irreducibles"][7]["values"][4] = "1*z^0 @ n=1"
+        with pytest.raises(ValidationError, match=r"^character table for c32: row "
+                           r"orthogonality fails at rows 0,7: <\.,\.> = None$"):
             table_from_json(data)
 
     def test_non_orthogonal_rows_rejected(self):
