@@ -11,9 +11,17 @@ the truncated system is exact in every degree up to the bound.  The
 tests certify confluence against a brute-force quotient-dimension oracle
 that shares no code with the rewriting path.
 
-Homomorphisms and the Cartan extension of Steenrod squares are both
-multiplicative maps on monomials: `_monomial_value` builds the value of a
-new monomial from the cached value of its predecessor with one product.
+Graded bases are walked directly under the staircase of the rule leads
+(`graded_basis`).  Sums of normal forms are collected in one mutable set
+and frozen once, so a product costs time linear in its result; powers
+square by Frobenius, and a product that would form more than
+`PRODUCT_TERM_CAP` monomial pairs is refused.
+
+Homomorphisms and the total Steenrod square Sq = Sq^0 + Sq^1 + ... are
+both multiplicative maps on monomials: `_monomial_value` builds the value
+of a new monomial from the cached value of its predecessor with one
+product.  Sq^i(m) is the part of the total square of m in degree
+deg(m) + i.
 """
 
 from __future__ import annotations
@@ -25,6 +33,9 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .infix import parse_infix
 
 Monomial = tuple[int, ...]
+
+# bounds the work of one product: the monomial pairs it multiplies out
+PRODUCT_TERM_CAP = 1 << 17
 
 
 class F2ParseError(ValueError):
@@ -123,28 +134,29 @@ class F2AlgebraElement:
 
     def __mul__(self, other: "F2AlgebraElement") -> "F2AlgebraElement":
         self._check(other)
+        a, b = self.monomials, other.monomials
+        if len(a) * len(b) > PRODUCT_TERM_CAP:
+            raise DegreeBoundExceededError(
+                f"a product of {len(a)} by {len(b)} monomials exceeds the cap "
+                f"of {PRODUCT_TERM_CAP} monomial products")
         alg = self.algebra
-        parity: dict[Monomial, int] = {}
-        for m1 in self.monomials:
-            for m2 in other.monomials:
-                raw = tuple(a + b for a, b in zip(m1, m2))
-                parity[raw] = parity.get(raw, 0) ^ 1
-        out: frozenset = frozenset()
-        for raw, p in parity.items():
-            if p:
-                out ^= alg._reduce_monomial(raw)
-        return F2AlgebraElement(alg, out)
+        return F2AlgebraElement(alg, alg._reduce_sum(
+            tuple(map(operator.add, m1, m2)) for m1 in a for m2 in b))
 
     def __pow__(self, k: int) -> "F2AlgebraElement":
         if k < 0:
             raise ValueError("negative powers are not defined")
-        result, base = self.algebra.one, self
+        alg = self.algebra
+        result, base = alg.one, self
         while k:
             if k & 1:
                 result = result * base
             k >>= 1
             if k:
-                base = base * base
+                # Frobenius: the algebra is commutative over F2, so the
+                # square of a sum of monomials is the sum of their squares
+                base = F2AlgebraElement(alg, alg._reduce_sum(
+                    tuple(2 * e for e in m) for m in base.monomials))
         return result
 
     def _check(self, other):
@@ -234,7 +246,7 @@ class PresentedF2Algebra:
         return tuple(spec)
 
     def monomial_degree(self, m: Monomial) -> int:
-        return sum(e * d for e, d in zip(m, self.gen_degrees))
+        return sum(map(operator.mul, m, self.gen_degrees))
 
     def _key(self, m: Monomial):
         return (self.monomial_degree(m),) + tuple(m[i] for i in self._prec)
@@ -287,17 +299,13 @@ class PresentedF2Algebra:
         work = set(poly)
         done: set[Monomial] = set()
         while work:
-            m = max(work, key=self._key)
+            m = max(work, key=self._key) if len(work) > 1 else next(iter(work))
             work.discard(m)
             for lead, tail in self._rules:
-                if all(a <= b for a, b in zip(lead, m)):
-                    shift = tuple(b - a for a, b in zip(lead, m))
-                    for t in tail:
-                        mm = tuple(a + b for a, b in zip(t, shift))
-                        if mm in work:
-                            work.discard(mm)
-                        else:
-                            work.add(mm)
+                if all(map(operator.le, lead, m)):
+                    shift = tuple(map(operator.sub, m, lead))
+                    work.symmetric_difference_update(
+                        [tuple(map(operator.add, t, shift)) for t in tail])
                     break
             else:
                 done.add(m)
@@ -324,18 +332,24 @@ class PresentedF2Algebra:
         if isinstance(e, F2AlgebraElement):
             if e.algebra is not self:
                 raise ValueError("element belongs to a different algebra")
-            return F2AlgebraElement(self, self._reduce_poly(e.monomials))
-        if isinstance(e, str):
+            e = e.monomials
+        elif isinstance(e, str):
             return self.parse(e)
+        return F2AlgebraElement(self, self._reduce_sum(tuple(m) for m in e))
+
+    def _reduce_sum(self, raws: Iterable[Monomial]) -> frozenset:
+        """Normal form of a sum of raw monomials, each counted mod 2; the
+        normal forms are collected in one set and frozen once."""
         parity: dict[Monomial, int] = {}
-        for m in e:
-            m = tuple(m)
+        for m in raws:
             parity[m] = parity.get(m, 0) ^ 1
-        out: frozenset = frozenset()
-        for m, p in parity.items():
-            if p:
-                out ^= self._reduce_monomial(m)
-        return F2AlgebraElement(self, out)
+        odd = [m for m, p in parity.items() if p]
+        if len(odd) == 1:
+            return self._reduce_monomial(odd[0])
+        out: set[Monomial] = set()
+        for m in odd:
+            out.symmetric_difference_update(self._reduce_monomial(m))
+        return frozenset(out)
 
     def parse(self, text: str) -> F2AlgebraElement:
         def atom(kind: str, value: str, pos: int) -> F2AlgebraElement:
@@ -356,11 +370,14 @@ class PresentedF2Algebra:
         """Normal-form monomials of degree n, in descending graded-lex order
         on the exponents (generator-listing order).
 
-        They are enumerated directly under the staircase of the rule leads:
-        a depth-first search assigns exponents generator by generator, tests
-        each lead once the last generator it involves has an exponent, and
-        stops raising that exponent as soon as a lead divides the prefix,
-        since every larger exponent is divisible too."""
+        They are enumerated directly under the staircase of the rule leads
+        by a depth-first search that assigns exponents generator by
+        generator.  At each node the exponent of generator i is capped once:
+        below the least last exponent of the leads that end at i and whose
+        rest the prefix already meets, since those exponents and every
+        larger one are divisible.  The last exponent is forced by the
+        degree, so it is tested once.  Only degree n is listed; no lower
+        degree is built or cached on the way."""
         if n < 0:
             return []
         if n > self.degree_bound:
@@ -374,35 +391,51 @@ class PresentedF2Algebra:
     def _normal_monomials(self, n: int) -> list[Monomial]:
         degs = self.gen_degrees
         last = len(degs) - 1
-        closing: list[list[Monomial]] = [[] for _ in degs]  # leads by last generator
+        # each lead as (rest, e): e is the exponent of its last generator,
+        # under which it is filed, and rest the (generator, exponent) pairs
+        # before it
+        closing: list[list] = [[] for _ in degs]
         for lead, _ in self._rules:
-            support = [j for j, e in enumerate(lead) if e]
+            support = [(j, e) for j, e in enumerate(lead) if e]
             if not support:
                 return []  # 1 is a lead: the quotient is zero
-            closing[support[-1]].append(lead)
+            j, e = support.pop()
+            closing[j].append((tuple(support), e))
         if last < 0:
             return [()] if n == 0 else []
         prefix = [0] * len(degs)
         out: list[Monomial] = []
+        last_step, last_closing = degs[last], closing[last]
 
-        def divisible(leads) -> bool:
-            return any(all(a <= b for a, b in zip(lead, prefix)) for lead in leads)
+        def cap_at(i: int, cap: int) -> int:
+            """Lower `cap` to the least exponent of generator i that makes
+            the prefix divisible by a lead whose rest it already meets."""
+            for rest, e in closing[i]:
+                if e < cap and all(prefix[j] >= r for j, r in rest):
+                    cap = e
+            return cap
 
         def walk(i: int, remaining: int) -> None:
             step = degs[i]
-            if i == last:
-                if remaining % step == 0:
-                    prefix[i] = remaining // step
-                    if not divisible(closing[i]):
-                        out.append(tuple(prefix))
-            else:
-                for e in range(remaining // step + 1):
+            cap = cap_at(i, remaining // step + 1)
+            if i + 1 < last:
+                for e in range(cap):
                     prefix[i] = e
-                    if divisible(closing[i]):
-                        break
                     walk(i + 1, remaining - e * step)
+            else:
+                # the last exponent is forced by the degree: test it once
+                for e in range(cap):
+                    f, r = divmod(remaining - e * step, last_step)
+                    if not r:
+                        prefix[i] = e
+                        if not last_closing or f < cap_at(last, f + 1):
+                            prefix[last] = f
+                            out.append(tuple(prefix))
             prefix[i] = 0
 
+        if last == 0:
+            f, r = divmod(n, last_step)
+            return [(f,)] if not r and f < cap_at(0, f + 1) else []
         walk(0, n)
         return out
 
@@ -440,12 +473,13 @@ class PresentedF2Algebra:
 # -- graded homomorphisms ---------------------------------------------------------
 
 
-def _monomial_value(m: Monomial, cache: dict, generator_values: Sequence, product):
+def _monomial_value(m: Monomial, cache: dict, generator_values: Sequence) -> F2AlgebraElement:
     """Value at m of the multiplicative map sending generator i to
-    generator_values[i]; `cache` must hold the value at the zero monomial.
+    generator_values[i]: the images of a homomorphism, or the total squares
+    of the generators.  `cache` must hold the value at the zero monomial.
     With i the last generator of nonzero exponent in m, the value at m is
-    product(value at m - e_i, generator_values[i]).  Every monomial on the
-    way down is cached, so each new monomial costs one product."""
+    (value at m - e_i) * generator_values[i].  Every monomial on the way
+    down is cached, so each new monomial costs one product."""
     chain = []
     while m not in cache:
         i = max(j for j, e in enumerate(m) if e)
@@ -453,7 +487,7 @@ def _monomial_value(m: Monomial, cache: dict, generator_values: Sequence, produc
         m = m[:i] + (m[i] - 1,) + m[i + 1:]
     value = cache[m]
     for mon, i in reversed(chain):
-        value = product(value, generator_values[i])
+        value = value * generator_values[i]
         cache[mon] = value
     return value
 
@@ -490,17 +524,17 @@ class GradedHom:
                                  f"under {self.name}")
 
     def _apply_monomial(self, m: Monomial) -> F2AlgebraElement:
-        return _monomial_value(m, self._monomial_cache, self.images, operator.mul)
+        return _monomial_value(m, self._monomial_cache, self.images)
 
     def __call__(self, e: Union[str, F2AlgebraElement]) -> F2AlgebraElement:
         if isinstance(e, str):
             e = self.source.parse(e)
         if e.algebra is not self.source:
             raise ValueError("element is not in the source algebra")
-        out = self.target.zero
+        out: set[Monomial] = set()
         for m in e.monomials:
-            out = out + self._apply_monomial(m)
-        return out
+            out.symmetric_difference_update(self._apply_monomial(m).monomials)
+        return F2AlgebraElement(self.target, frozenset(out))
 
     def __repr__(self) -> str:
         return f"GradedHom({self.name})"
@@ -558,7 +592,12 @@ class SteenrodData:
             self._series.append(row)
         if given:
             raise InconsistentSteenrodDataError(f"unknown generators in data: {sorted(given)}")
-        self._mono_cache = {(0,) * len(self._series): [algebra.one]}
+        # the total square of each generator: its squares lie in distinct
+        # degrees, so their sum is the union of their monomials
+        self._totals = [
+            F2AlgebraElement(algebra, frozenset().union(*(v.monomials for v in row)))
+            for row in self._series]
+        self._mono_cache = {(0,) * len(self._series): algebra.one}
         self._validate_relations()
 
     def _coerce(self, value) -> F2AlgebraElement:
@@ -568,41 +607,38 @@ class SteenrodData:
             return self.algebra.one if value % 2 else self.algebra.zero
         return self.algebra.normal_form(value)
 
-    def _convolve(self, a: list[F2AlgebraElement], b: list[F2AlgebraElement]):
-        out = [self.algebra.zero] * (len(a) + len(b) - 1)
-        for i, ea in enumerate(a):
-            if ea.is_zero():
-                continue
-            for j, eb in enumerate(b):
-                if not eb.is_zero():
-                    out[i + j] = out[i + j] + ea * eb
-        return out
-
-    def _monomial_series(self, m: Monomial) -> list[F2AlgebraElement]:
-        return _monomial_value(m, self._mono_cache, self._series, self._convolve)
+    def _total_square(self, m: Monomial) -> F2AlgebraElement:
+        """Sq(m) = Sq^0(m) + Sq^1(m) + ... of a raw monomial.  The total
+        square is multiplicative, and the degree of each of its monomials
+        tells which Sq^i that monomial belongs to."""
+        return _monomial_value(m, self._mono_cache, self._totals)
 
     def _validate_relations(self) -> None:
-        for rel in self.algebra.raw_relations:
-            pieces: dict[int, F2AlgebraElement] = {}
+        alg = self.algebra
+        for rel in alg.raw_relations:
+            total: set[Monomial] = set()
             for m in rel:
-                for i, val in enumerate(self._monomial_series(m)):
-                    pieces[i] = pieces.get(i, self.algebra.zero) + val
-            for i, val in pieces.items():
-                if not val.is_zero():
-                    raise InconsistentSteenrodDataError(
-                        f"Sq^{i} of relation {sorted(rel)} is {val}, not 0")
+                total.symmetric_difference_update(self._total_square(m).monomials)
+            if total:
+                d = alg.monomial_degree(next(iter(rel)))
+                i = min(alg.monomial_degree(t) for t in total) - d
+                val = F2AlgebraElement(alg, frozenset(
+                    t for t in total if alg.monomial_degree(t) == d + i))
+                raise InconsistentSteenrodDataError(
+                    f"Sq^{i} of relation {sorted(rel)} is {val}, not 0")
 
     def sq(self, i: int, e: Union[str, F2AlgebraElement]) -> F2AlgebraElement:
         if isinstance(e, str):
             e = self.algebra.parse(e)
         if i < 0:
             raise ValueError("Sq^i needs i >= 0")
-        out = self.algebra.zero
+        degree = self.algebra.monomial_degree
+        out: set[Monomial] = set()
         for m in e.monomials:
-            series = self._monomial_series(m)
-            if i < len(series):
-                out = out + series[i]
-        return out
+            d = degree(m) + i
+            out.symmetric_difference_update(
+                [t for t in self._total_square(m).monomials if degree(t) == d])
+        return F2AlgebraElement(self.algebra, frozenset(out))
 
 
 # -- Wu and Stiefel-Whitney classes ---------------------------------------------------
@@ -645,16 +681,18 @@ def wu_classes(algebra: PresentedF2Algebra, steenrod: SteenrodData) -> list[F2Al
 
 
 def stiefel_whitney(algebra: PresentedF2Algebra, steenrod: SteenrodData) -> list[F2AlgebraElement]:
-    """w_k = sum_{i+j=k} Sq^i(v_j), for k = 0 .. d."""
+    """w_k = sum_{i+j=k} Sq^i(v_j), for k = 0 .. d: the degree-k part of the
+    total square of v_0 + ... + v_(d/2).  Sq^i vanishes above the degree it
+    acts on, so that total square lives in degrees 0 .. d."""
     v = wu_classes(algebra, steenrod)
-    d = algebra.poincare[0]
-    out = []
-    for k in range(d + 1):
-        total = algebra.zero
-        for j in range(min(k, len(v) - 1) + 1):
-            total = total + steenrod.sq(k - j, v[j])
-        out.append(total)
-    return out
+    total: set[Monomial] = set()
+    for vj in v:
+        for m in vj.monomials:
+            total.symmetric_difference_update(steenrod._total_square(m).monomials)
+    parts: list[set[Monomial]] = [set() for _ in range(algebra.poincare[0] + 1)]
+    for t in total:
+        parts[algebra.monomial_degree(t)].add(t)
+    return [F2AlgebraElement(algebra, frozenset(p)) for p in parts]
 
 
 # -- builtin presentations ----------------------------------------------------------
@@ -746,12 +784,11 @@ def circle_bundle_steenrod(m: PresentedF2Algebra,
     return SteenrodData(m, {("Z", 1): sq1_z})
 
 
-def sq1_branch_enumerate(m: PresentedF2Algebra,
-                         require_w1_zero: bool = False) -> list[F2AlgebraElement]:
+def sq1_branch_data(m: PresentedF2Algebra) -> list[tuple[F2AlgebraElement, SteenrodData]]:
     """All degree-3 values of Sq^1(Z) on the bundle total space that give
     consistent Steenrod data and kill the Bockstein of the pulled-back
-    degree-3 class Z*(t+s).  With `require_w1_zero` the orientation
-    obstruction w_1 must also vanish."""
+    degree-3 class Z*(t+s), each with the data built for it, in
+    descending order of their sorted monomials."""
     if m.poincare is None or m.poincare[0] % 8 != 0:
         raise ValueError("expected the total-space algebra of dimension 8k")
     u_image = m.parse("Z*(t + s)")
@@ -764,10 +801,16 @@ def sq1_branch_enumerate(m: PresentedF2Algebra,
             data = circle_bundle_steenrod(m, candidate)
         except InconsistentSteenrodDataError:
             continue
-        if not data.sq(1, u_image).is_zero():
-            continue
-        if require_w1_zero and not wu_classes(m, data)[1].is_zero():
-            continue
-        admissible.append(candidate)
-    admissible.sort(key=lambda e: sorted(e.monomials), reverse=True)
+        if data.sq(1, u_image).is_zero():
+            admissible.append((candidate, data))
+    admissible.sort(key=lambda pair: sorted(pair[0].monomials), reverse=True)
     return admissible
+
+
+def sq1_branch_enumerate(m: PresentedF2Algebra,
+                         require_w1_zero: bool = False) -> list[F2AlgebraElement]:
+    """The admissible values of Sq^1(Z) of `sq1_branch_data`.  With
+    `require_w1_zero` the orientation obstruction w_1 = v_1 must also
+    vanish."""
+    return [candidate for candidate, data in sq1_branch_data(m)
+            if not require_w1_zero or wu_classes(m, data)[1].is_zero()]

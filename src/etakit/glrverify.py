@@ -20,13 +20,12 @@ from typing import Callable, Sequence, Union
 
 from .eta import (LensSpec, ManifoldSpec, Modulus, eta_of, eta_order,
                   span_order_lower_bound, thm31_modulus)
-from .f2ring import (circle_bundle_cohomology, circle_bundle_steenrod,
-                     circle_bundle_to_lens, d8_to_v2_restriction,
-                     dihedral_cohomology, dual_pushforward_map, gf2_echelon,
-                     klein_cohomology, lens_space_cohomology,
-                     sd_to_circle_bundle, sd_to_d8_restriction,
-                     semidihedral_cohomology, sq1_branch_enumerate,
-                     stiefel_whitney)
+from .f2ring import (circle_bundle_cohomology, circle_bundle_to_lens,
+                     d8_to_v2_restriction, dihedral_cohomology,
+                     dual_pushforward_map, gf2_echelon, klein_cohomology,
+                     lens_space_cohomology, sd_to_circle_bundle,
+                     sd_to_d8_restriction, semidihedral_cohomology,
+                     sq1_branch_data, stiefel_whitney)
 from .grouprep import (NAMED_INCLUSIONS, CharacterTable, InclusionMap,
                        VirtualCharacter, builtin_group, character_table,
                        named_inclusion, restrict_virtual)
@@ -424,34 +423,36 @@ def verify_prop41(n: int) -> list[ClaimResult]:
     out.append(claim(f"{tag}.pullback_alt_ok",
                      "the ring map also exists with P->Z^2", True, True))
 
-    branches = sq1_branch_enumerate(m_alg)
+    # each admissible Sq^1 Z value with its Steenrod data and its
+    # Stiefel-Whitney classes, each built once
+    data = dict(sq1_branch_data(m_alg))
+    branches = list(data)
+    w = {b: stiefel_whitney(m_alg, d) for b, d in data.items()}
+    spin, nonspin = m_alg.parse("Z*s"), m_alg.parse("Z*(t+s)")
+
     out.append(claim(f"{tag}.branches", "admissible Bockstein values on Z",
                      "(s*Z, s*Z + t*Z)",
                      "(" + ", ".join(str(b) for b in branches) + ")"))
 
-    spin_data = circle_bundle_steenrod(m_alg, m_alg.parse("Z*s"))
-    sq2_p_spin = spin_data.sq(2, pullback("P"))
+    sq2_p_spin = data[spin].sq(2, pullback("P"))
     out.append(claim(f"{tag}.p_forced",
                      "Sq^2 compatibility forces the Zt^2 term in the image of P",
                      (str(pullback("u") ** 2), False),
                      (str(sq2_p_spin),
-                      spin_data.sq(2, alt("P")) == alt("u") ** 2)))
+                      data[spin].sq(2, alt("P")) == alt("u") ** 2)))
 
-    nonspin_data = circle_bundle_steenrod(m_alg, m_alg.parse("Z*(t+s)"))
-    w_nonspin = stiefel_whitney(m_alg, nonspin_data)
     out.append(claim(f"{tag}.nonspin_w1", "the branch Sq^1 Z = Z(t+s) gives w1 = t",
-                     "t", str(w_nonspin[1])))
+                     "t", str(w[nonspin][1])))
     to_lens = circle_bundle_to_lens(m_alg, lens)
     out.append(claim(f"{tag}.nonspin_contradiction",
                      "that w1 restricts to the nonzero class on the lens fibre",
-                     False, to_lens(w_nonspin[1]).is_zero()))
-    w_spin = stiefel_whitney(m_alg, spin_data)
+                     False, to_lens(w[nonspin][1]).is_zero()))
     out.append(claim(f"{tag}.spin_w", "the branch Sq^1 Z = Zs gives w1 = w2 = 0",
-                     ("0", "0"), (str(w_spin[1]), str(w_spin[2]))))
+                     ("0", "0"), (str(w[spin][1]), str(w[spin][2]))))
+    # w1 = v1, since Sq^1 of v0 = 1 vanishes
+    spin_branches = [b for b in branches if w[b][1].is_zero()]
     out.append(claim(f"{tag}.branch_filter", "requiring w1 = 0 selects the spin branch",
-                     "(s*Z)",
-                     "(" + ", ".join(str(b) for b in
-                                     sq1_branch_enumerate(m_alg, require_w1_zero=True)) + ")"))
+                     "(s*Z)", "(" + ", ".join(str(b) for b in spin_branches) + ")"))
 
     top = m_alg.poincare[1]
     push = dual_pushforward_map(pullback, 2 * n)

@@ -266,12 +266,17 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("argv,code,out,err", [
         (("nf", "--algebra", "sd", "--expr", "x^1000000000"), 0, "0\n", ""),
+        (("nf", "--algebra", "sd", "--expr", "y^1000000000"), 0, "y^1000000000\n", ""),
+        (("nf", "--algebra", "sd", "--expr", "(y+u+P)^4095"), 1, "",
+         "DegreeBoundExceededError: a product of 59050 by 3 monomials exceeds "
+         "the cap of 131072 monomial products\n"),
         (("restrict", "--group", "sd16", "--subgroup", "q8",
           "--images", "i=s^1000000000,j=t*s", "--chi", "rho2"),
          1, "", "NotASubgroupMapError: map is not injective\n"),
         (("restrict", "--group", "sd16", "--subgroup", "q8", "--chi", "rho2^100000"),
          1, "", "ValidationError: character power k = 100000 exceeds the cap 1024\n"),
-    ], ids=["algebra-power", "group-power", "character-power"])
+    ], ids=["algebra-power", "algebra-power-free", "algebra-power-capped", "group-power",
+            "character-power"])
     def test_huge_exponent_ends_quickly(self, argv, code, out, err):
         proc = run_module("-m", "etakit.cli", *argv, timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

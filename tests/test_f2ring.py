@@ -18,7 +18,8 @@ from etakit.f2ring import (DegeneratePairingError, DegreeBoundExceededError,
                            klein_cohomology, lens_space_cohomology,
                            sd_to_circle_bundle, sd_to_d8_restriction,
                            semidihedral_cohomology, semidihedral_steenrod,
-                           sq1_branch_enumerate, stiefel_whitney, wu_classes)
+                           sq1_branch_data, sq1_branch_enumerate, stiefel_whitney,
+                           wu_classes)
 from oracles import (NonConfluentPresentationError, brute_quotient_dimension,
                      free_monomials, validate_dimensions)
 
@@ -55,6 +56,9 @@ class TestNormalForms:
         e = sd.parse("y*u^3 + x*y + u^2")
         assert sd.normal_form(e) == e
         assert sd.parse("x*y + x^2") == sd.zero  # the relation itself
+        # each monomial is reduced on its own, so this stays linear in the 4096
+        big = sd.parse("y + P") ** 4095
+        assert sd.normal_form(big) == big
 
     def test_total_space_completion(self, m8):
         # s*t -> t^2 forces the derived rule t^3 -> 0
@@ -123,18 +127,51 @@ BUILTIN_PRESENTATIONS = (
        for n in (2, 5, 16)])
 
 
+def assert_walk_matches_oracle(alg, max_degree):
+    """The staircase walk against the oracle's free monomials, filtered by
+    every rule lead and sorted, in every degree up to max_degree."""
+    supports = [[(j, e) for j, e in enumerate(lead) if e] for lead, _ in alg._rules]
+    for n in range(max_degree + 1):
+        want = sorted((m for m in free_monomials(alg, n)
+                       if not any(all(m[j] >= e for j, e in s) for s in supports)),
+                      reverse=True)
+        assert alg.graded_basis(n) == want, n
+
+
+@st.composite
+def random_presentations(draw):
+    """2-4 generators of degree 1-4 under 1-3 random homogeneous relations
+    and a random precedence."""
+    degrees = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4))
+    gens = [(f"g{i}", d) for i, d in enumerate(degrees)]
+    free = PresentedF2Algebra("free", gens, [])
+    relations = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        d = draw(st.sampled_from([d for d in range(1, 7) if free_monomials(free, d)]))
+        mons = free_monomials(free, d)
+        relations.append(draw(st.sets(st.sampled_from(mons), min_size=1,
+                                      max_size=min(3, len(mons)))))
+    precedence = draw(st.permutations([name for name, _ in gens]))
+    return PresentedF2Algebra("random", gens, relations, degree_bound=12,
+                              precedence=precedence)
+
+
 class TestStaircaseEnumeration:
     @pytest.mark.parametrize("factory", BUILTIN_PRESENTATIONS)
     def test_matches_filtered_free_monomials(self, factory):
-        # the staircase walk against the oracle's free monomials, filtered
-        # by every rule lead and sorted, in every degree up to the bound
         alg = factory()
-        supports = [[(j, e) for j, e in enumerate(lead) if e] for lead, _ in alg._rules]
-        for n in range(alg.degree_bound + 1):
-            want = sorted((m for m in free_monomials(alg, n)
-                           if not any(all(m[j] >= e for j, e in s) for s in supports)),
-                          reverse=True)
-            assert alg.graded_basis(n) == want, n
+        assert_walk_matches_oracle(alg, alg.degree_bound)
+
+    @settings(max_examples=150, deadline=None)
+    @given(alg=random_presentations())
+    def test_random_presentations(self, alg):
+        assert_walk_matches_oracle(alg, 12)
+
+    def test_poincare_check_lists_one_degree(self):
+        # the Poincare check needs its top degree only; no lower degree is
+        # built or cached on the way
+        alg = circle_bundle_cohomology(50000)
+        assert list(alg._basis_cache) == [100000]
 
     def test_free_monomials_in_ascending_order(self, sd):
         for n in range(12):
@@ -304,10 +341,17 @@ def reference_apply_monomial(hom, m):
 
 
 def reference_monomial_series(data, m):
-    series = [data.algebra.one]
+    """[Sq^0(m), Sq^1(m), ...]: one convolution of square series per factor."""
+    alg = data.algebra
+    series = [alg.one]
     for gi, e in enumerate(m):
+        row = data._series[gi]
         for _ in range(e):
-            series = data._convolve(series, data._series[gi])
+            out = [alg.zero] * (len(series) + len(row) - 1)
+            for i, a in enumerate(series):
+                for j, b in enumerate(row):
+                    out[i + j] = out[i + j] + a * b
+            series = out
     return series
 
 
@@ -346,6 +390,16 @@ def draw_monomial(data, algebra, max_degree):
     return tuple(exps)
 
 
+def draw_element(data, algebra, max_degree=8):
+    """A sum of up to three distinct normal-form monomials of one degree."""
+    n = data.draw(st.integers(min_value=0, max_value=max_degree))
+    basis = algebra.graded_basis(n)
+    if not basis:
+        return algebra.zero
+    return F2AlgebraElement(algebra, frozenset(
+        data.draw(st.sets(st.sampled_from(basis), max_size=3))))
+
+
 class TestMonomialMaps:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), name=st.sampled_from(["sd->d8", "d8->v2", "sd->m16"]))
@@ -366,7 +420,8 @@ class TestMonomialMaps:
         steenrod = steenrod_data()[name]
         algebra = steenrod.algebra
         m = draw_monomial(data, algebra, 48)
-        assert steenrod._monomial_series(m) == reference_monomial_series(steenrod, m)
+        assert steenrod._total_square(m) == sum(reference_monomial_series(steenrod, m),
+                                                algebra.zero)
         e = algebra.normal_form([m])
         for i in range(algebra.monomial_degree(m) + 2):
             assert steenrod.sq(i, e) == reference_sq(steenrod, i, e)
@@ -385,10 +440,36 @@ class TestMonomialMaps:
             assert e ** k == product
             product = product * e
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["sd", "m16"]))
+    def test_power_matches_repeated_product_up_to_40(self, data, name):
+        algebra = steenrod_data()[name].algebra
+        e = draw_element(data, algebra)
+        k = data.draw(st.integers(min_value=0, max_value=40))
+        product = algebra.one
+        for _ in range(k):
+            product = product * e
+        assert e ** k == product
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["sd", "m16"]))
+    def test_square_is_frobenius(self, data, name):
+        # (a + b)^2 = a^2 + b^2 in a commutative algebra over F2
+        algebra = steenrod_data()[name].algebra
+        a, b = draw_element(data, algebra), draw_element(data, algebra)
+        assert (a + b) ** 2 == a ** 2 + b ** 2 == (a + b) * (a + b)
+
     def test_huge_power_of_nilpotent(self, sd):
         assert sd.parse("x") ** 1_000_000_000 == sd.zero
+        assert str(sd.parse("y") ** 1_000_000_000) == "y^1000000000"
         with pytest.raises(ValueError):
             sd.parse("x") ** -1
+
+    def test_product_cap(self, sd):
+        with pytest.raises(DegreeBoundExceededError, match="exceeds the cap"):
+            sd.parse("y + u + P") ** 4095
+        # below the cap: every C(1023, j) is odd, so no term cancels
+        assert len((sd.parse("y + P") ** 1023).monomials) == 1024
 
 
 class TestSteenrod:
@@ -450,6 +531,17 @@ class TestWuAndStiefelWhitney:
         assert str(wu_classes(m8, data)[1]) == "t"
         assert str(stiefel_whitney(m8, data)[1]) == "t"
 
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("branch", ["Z*s", "Z*(t+s)"])
+    def test_total_square_of_wu_class(self, n, branch):
+        # one total square of v against the sum of Sq^i(v_j) over i + j = k
+        m = circle_bundle_cohomology(n)
+        data = circle_bundle_steenrod(m, m.parse(branch))
+        v = wu_classes(m, data)
+        want = [sum((data.sq(k - j, v[j]) for j in range(min(k, len(v) - 1) + 1)), m.zero)
+                for k in range(2 * n + 1)]
+        assert stiefel_whitney(m, data) == want
+
     def test_degenerate_pairing_detected(self):
         bad = PresentedF2Algebra("bad", [("x", 1), ("y", 1)],
                                  ["x^2", "x*y"], poincare=(2, "y^2"))
@@ -464,6 +556,11 @@ class TestBranchEnumeration:
         alg = circle_bundle_cohomology(n)
         branches = sq1_branch_enumerate(alg)
         assert [str(b) for b in branches] == ["s*Z", "s*Z + t*Z"]
+
+    def test_branch_data(self, m8):
+        pairs = sq1_branch_data(m8)
+        assert [c for c, _ in pairs] == sq1_branch_enumerate(m8)
+        assert all(data.sq(1, m8.parse("Z")) == c for c, data in pairs)
 
     def test_w1_filter(self, m8):
         assert [str(b) for b in sq1_branch_enumerate(m8, require_w1_zero=True)] \

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from etakit import glrverify
+from etakit import f2ring, glrverify
 from etakit.exactnum import CyclotomicNumber, inverse_one_minus_root
 from etakit.glrverify import (SPAN_DEGREE_CAP, SUITES, _sd16_fixture,
                               _span_algebras, free_quotients, kerap_lookup,
@@ -230,6 +230,16 @@ class TestProp41Guards:
     @pytest.mark.parametrize("n", [12, 16, 20, SPAN_DEGREE_CAP // 2])
     def test_higher_dimensions_also_pass(self, n):
         assert all(c.passed for c in verify_prop41(n))
+
+    def test_each_branch_built_once(self, monkeypatch):
+        # one Steenrod build per Sq^1 Z candidate and one Wu computation per
+        # admissible branch, shared by the spin, non-spin and filter claims
+        calls = {"steenrod": 0, "wu": 0}
+        monkeypatch.setattr(f2ring.SteenrodData, "__init__",
+                            counted(calls, "steenrod", f2ring.SteenrodData.__init__))
+        monkeypatch.setattr(f2ring, "wu_classes", counted(calls, "wu", f2ring.wu_classes))
+        assert all(c.passed for c in verify_prop41(8))
+        assert calls == {"steenrod": 4, "wu": 2}
 
     def test_reads_the_shared_span_algebra(self, monkeypatch):
         _span_algebras()
