@@ -293,7 +293,7 @@ def _cmd_wu(args, cfg: Config) -> int:
     v = wu_classes(algebra, data)
     lines = [f"v{j} = {vj}" for j, vj in enumerate(v)]
     if args.sw:
-        w = stiefel_whitney(algebra, data)
+        w = stiefel_whitney(algebra, data, v)
         lines += [f"w{k} = {wk}" for k, wk in enumerate(w)]
     if args.format == "json":
         print(json.dumps({line.split(" = ")[0]: line.split(" = ")[1]

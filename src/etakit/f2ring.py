@@ -680,11 +680,13 @@ def wu_classes(algebra: PresentedF2Algebra, steenrod: SteenrodData) -> list[F2Al
     return out
 
 
-def stiefel_whitney(algebra: PresentedF2Algebra, steenrod: SteenrodData) -> list[F2AlgebraElement]:
+def stiefel_whitney(algebra: PresentedF2Algebra, steenrod: SteenrodData,
+                    wu: Optional[Sequence[F2AlgebraElement]] = None) -> list[F2AlgebraElement]:
     """w_k = sum_{i+j=k} Sq^i(v_j), for k = 0 .. d: the degree-k part of the
     total square of v_0 + ... + v_(d/2).  Sq^i vanishes above the degree it
-    acts on, so that total square lives in degrees 0 .. d."""
-    v = wu_classes(algebra, steenrod)
+    acts on, so that total square lives in degrees 0 .. d.  `wu` passes
+    the Wu classes when the caller has them already."""
+    v = wu_classes(algebra, steenrod) if wu is None else wu
     total: set[Monomial] = set()
     for vj in v:
         for m in vj.monomials:

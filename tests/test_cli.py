@@ -312,6 +312,22 @@ class TestOtherCommands:
                             "--branch", "nonspin")
         assert out.splitlines()[1] == "v1 = t"
 
+    def test_wu_sw_solves_the_wu_classes_once(self, capsys, monkeypatch):
+        # the Stiefel-Whitney classes reuse the Wu classes just printed
+        from etakit import cli, f2ring
+        calls = []
+        wu_classes = f2ring.wu_classes
+
+        def counted(*args):
+            calls.append(args)
+            return wu_classes(*args)
+        monkeypatch.setattr(cli, "wu_classes", counted)
+        monkeypatch.setattr(f2ring, "wu_classes", counted)
+        _, out, _ = run_cli(capsys, "wu", "--algebra", "m8", "--branch", "nonspin", "--sw")
+        assert len(calls) == 1
+        assert out == ("v0 = 1\nv1 = t\nv2 = t^2\nv3 = 0\nv4 = 0\nw0 = 1\nw1 = t\n"
+                       + "".join(f"w{k} = 0\n" for k in range(2, 9)))
+
     def test_push(self, capsys):
         _, out, _ = run_cli(capsys, "push", "--map", "d8-to-v2", "--degree", "6")
         assert "xi(p^3*q^3) -> xi(d^3)" in out

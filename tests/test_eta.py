@@ -7,17 +7,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etakit import eta
 from etakit.eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
-                        eta_donnelly, eta_donnelly_float, eta_of, eta_of_float,
-                        eta_order, rational_determinant, recursion_check,
-                        span_order_lower_bound, thm31_modulus)
+                        NonRationalSumError, eta_donnelly, eta_donnelly_float,
+                        eta_of, eta_of_float, eta_order, rational_determinant,
+                        recursion_check, span_order_lower_bound, thm31_modulus)
 from etakit.exactnum import (CyclotomicNumber, inverse_one_minus_root,
                              root_of_unity)
-from etakit.glrverify import free_quotients
-from etakit.grouprep import (InclusionMap, NotFreeError, OddLengthError,
-                             VirtualCharacter, builtin_group, character_table,
-                             cyclic_free_rep, quaternion_free_rep,
-                             restrict_virtual)
+from etakit.glrverify import _sd16_fixture, free_quotients
+from etakit.grouprep import (FreeUnitaryRep, InclusionMap, NotFreeError,
+                             OddLengthError, VirtualCharacter, builtin_group,
+                             character_table, cyclic_free_rep,
+                             quaternion_free_rep, restrict_virtual)
+from oracles import donnelly_by_class
 
 
 def lens_eta(spec, rho):
@@ -234,9 +236,11 @@ class TestAgreement:
 
 
     def test_one_closed_form_per_eigenvalue(self, monkeypatch):
-        # 14 classes of 4 eigenvalues, each with a nonzero Chern number, but
-        # only 14 distinct factors (1 - zeta_15^e)^-1, each built once from
-        # the geometric-sum closed form and none by a field inversion
+        # 14 classes of 4 eigenvalues, each with a nonzero Chern number, in
+        # three Galois orbits led by g, g^3 and g^5, whose exponents
+        # {1, 7, 11, 13}, {3, 6, 9} and {5, 10} are the only 9 factors
+        # (1 - zeta_15^e)^-1 built, each once from the geometric-sum closed
+        # form and none by a field inversion
         rep = cyclic_free_rep(15, (1, 7, 11, 13), (1, -1, 2, 3))
         chi = character_table("c15").irreducible("r1") - character_table("c15").trivial()
         inverted = []
@@ -247,10 +251,195 @@ class TestAgreement:
             return inverse(x)
         monkeypatch.setattr(CyclotomicNumber, "inverse", counted)
         inverse_one_minus_root.cache_clear()
+        eta._rep_factor.cache_clear()
         value = eta_donnelly(rep, chi)
         assert inverted == []
-        assert inverse_one_minus_root.cache_info().misses == 14
+        assert inverse_one_minus_root.cache_info().misses == 9
         assert abs(float(value) - eta_donnelly_float(rep, chi)) < 1e-9
+
+
+def lens_weights(data, l, max_size=6):
+    """An even number of odd weights coprime to l, up to 2l: a weight
+    shifted by l changes the determinant square root."""
+    units = [u for u in range(1, 2 * l, 2) if math.gcd(u, l) == 1]
+    return tuple(data.draw(st.lists(st.sampled_from(units), min_size=2, max_size=max_size)
+                           .filter(lambda v: len(v) % 2 == 0)))
+
+
+def random_character(data, table):
+    """A virtual character of any dimension on the table."""
+    n = len(table.rows)
+    return VirtualCharacter(table, data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                                      max_size=n)))
+
+
+def assert_matches_class_by_class(tau, group, values):
+    """The orbit sum equals the per-class oracle, and raises exactly where
+    the oracle's total is not rational."""
+    want = donnelly_by_class(tau, group, values)
+    if want is None:
+        with pytest.raises(NonRationalSumError):
+            eta._donnelly_sum(tau, group, values)
+    else:
+        assert eta._donnelly_sum(tau, group, values) == want
+
+
+def is_prime_power(l):
+    p = next(p for p in range(2, l + 1) if l % p == 0)
+    while l % p == 0:
+        l //= p
+    return l == 1
+
+
+PRIME_POWERS = [l for l in range(2, 65) if is_prime_power(l)]
+COMPOSITES = [l for l in range(2, 65) if not is_prime_power(l)]
+
+
+class TestGaloisOrbits:
+    """The sum over Galois orbits of classes against the class-by-class
+    oracle, exactly, on honest data and on data built to break the orbit
+    identity."""
+
+    @pytest.mark.parametrize("orders", [PRIME_POWERS, COMPOSITES],
+                             ids=["prime-power", "composite"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("sphere", "bundle")))
+    def test_cyclic(self, orders, data, kind):
+        l = data.draw(st.sampled_from(orders))
+        a = lens_weights(data, l)
+        chern = None
+        if kind == "bundle":
+            chern = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=len(a),
+                                             max_size=len(a))))
+        chi = random_character(data, character_table(f"c{l}"))
+        tau = cyclic_free_rep(l, a, chern)
+        want = donnelly_by_class(tau, tau.group, chi.values)
+        assert eta_donnelly(tau, chi) == want
+        assert eta_of(ManifoldSpec(lens=LensSpec(l, a, kind, chern)), chi) == want
+
+    def test_quaternion_powers(self):
+        tau_q8 = character_table("q8").irreducible("tau")
+        for k in range(18):
+            tau = quaternion_free_rep(k)
+            for p in range(1, 4):
+                chi = (2 - tau_q8) ** p
+                assert eta_donnelly(tau, chi) == donnelly_by_class(tau, tau.group, chi.values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), which=st.sampled_from(("c8", "c4i", "q8")),
+           kind=st.sampled_from(("sphere", "bundle")))
+    def test_sd16_columns_through_inclusions(self, data, which, kind):
+        fx = _sd16_fixture()
+        inclusion = getattr(fx, which)
+        if which == "q8":
+            k = data.draw(st.integers(0, 17))
+            manifold, tau = ManifoldSpec(quaternion_k=k, inclusion=inclusion), quaternion_free_rep(k)
+        else:
+            l = 8 if which == "c8" else 4
+            a = lens_weights(data, l)
+            chern = None
+            if kind == "bundle":
+                chern = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=len(a),
+                                                 max_size=len(a))))
+            manifold = ManifoldSpec(lens=LensSpec(l, a, kind, chern), inclusion=inclusion)
+            tau = cyclic_free_rep(l, a, chern)
+        if data.draw(st.booleans()):
+            chi = data.draw(st.sampled_from(fx.columns))
+        else:
+            chi = random_character(data, fx.tsd)
+        values = [chi.values[c] for c in inclusion.class_map]
+        assert eta_of(manifold, chi) == donnelly_by_class(tau, tau.group, values)
+
+    @staticmethod
+    def _orbit_pair(data, l):
+        # g^a and g^b are Galois conjugate in C_l iff gcd(a, l) = gcd(b, l)
+        a = data.draw(st.sampled_from([a for a in range(1, l) if
+                                       sum(math.gcd(b, l) == math.gcd(a, l)
+                                           for b in range(1, l)) > 1]))
+        b = data.draw(st.sampled_from([b for b in range(1, l) if b != a
+                                       and math.gcd(b, l) == math.gcd(a, l)]))
+        return a, b
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), l=st.sampled_from((5, 8, 9, 12, 15, 16)),
+           kind=st.sampled_from(("sphere", "bundle")))
+    def test_permuted_exponents_fall_back(self, data, l, kind):
+        a = lens_weights(data, l, max_size=4)
+        chern = None if kind == "sphere" else (1,) + (0,) * (len(a) - 1)
+        honest = cyclic_free_rep(l, a, chern)
+        x, y = self._orbit_pair(data, l)
+        exps, dets = list(honest.eigen_exponents), list(honest.det_sqrt)
+        exps[x], exps[y] = exps[y], exps[x]
+        dets[x], dets[y] = dets[y], dets[x]
+        tau = FreeUnitaryRep(honest.group, len(a), l, exps, dets, chern)
+        chi = random_character(data, character_table(f"c{l}"))
+        assert_matches_class_by_class(tau, tau.group, chi.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_swapped_c5_columns_fall_back(self, data):
+        tau = cyclic_free_rep(5, lens_weights(data, 5, max_size=4))
+        x, y = self._orbit_pair(data, 5)
+        values = list(random_character(data, character_table("c5")).values)
+        values[x], values[y] = values[y], values[x]
+        assert_matches_class_by_class(tau, tau.group, values)
+
+    def test_swapped_columns_that_break_rationality_raise(self):
+        tau = cyclic_free_rep(5, (1, 3))
+        values = list((character_table("c5").irreducible("r1") - 1).values)
+        values[1], values[2] = values[2], values[1]
+        assert donnelly_by_class(tau, tau.group, values) is None
+        with pytest.raises(NonRationalSumError):
+            eta._donnelly_sum(tau, tau.group, values)
+
+    def test_slots_are_matched_when_chern_numbers_tie_them(self):
+        # the multiset of exponents at g^2 is kept but its slots swapped:
+        # fine for a sphere, not for a bundle
+        chi = character_table("c5").irreducible("r1") - 1
+        for chern in (None, (1, -2)):
+            honest = cyclic_free_rep(5, (1, 3), chern)
+            exps = list(honest.eigen_exponents)
+            exps[2] = exps[2][::-1]
+            tau = FreeUnitaryRep(honest.group, 2, 5, exps, honest.det_sqrt, chern)
+            assert eta._tau_stable(tau, 5) == (chern is None,)
+            assert_matches_class_by_class(tau, tau.group, chi.values)
+
+    def test_det_sqrt_sign_is_checked(self):
+        honest = cyclic_free_rep(8, (1, 3))
+        dets = list(honest.det_sqrt)
+        dets[3] = -dets[3]
+        tau = FreeUnitaryRep(honest.group, 2, 8, honest.eigen_exponents, dets)
+        assert eta._tau_stable(tau, 8) == (False, True, True)
+        for j in range(8):
+            chi = character_table("c8").irreducible(f"r{j}") - 1
+            assert_matches_class_by_class(tau, tau.group, chi.values)
+
+    def test_stabilizer_is_checked(self):
+        # i ~ i^3 in Q8, so the orbit of [i] is one class fixed by k = 3;
+        # eigenvalues (i, -1) there are not, and the summand is not rational
+        exps = [(0, 0), (4, 4), (2, 4), (2, 6), (2, 6)]
+        dets = [root_of_unity(8, 0), root_of_unity(8, 4), root_of_unity(8, 3),
+                root_of_unity(8, 0), root_of_unity(8, 0)]
+        tau = FreeUnitaryRep(builtin_group("q8"), 2, 8, exps, dets)
+        assert eta._tau_stable(tau, 8) == (True, False, True, True)
+        chi = 2 - character_table("q8").irreducible("tau")
+        assert donnelly_by_class(tau, tau.group, chi.values) is None
+        with pytest.raises(NonRationalSumError):
+            eta_donnelly(tau, chi)
+
+    @pytest.mark.parametrize("l,orbits", [(8, 3), (15, 3), (16, 4), (30, 7), (64, 6)])
+    def test_one_summand_per_orbit(self, monkeypatch, l, orbits):
+        # honest data: one summand per divisor d > 1 of l
+        calls = []
+        factor = eta._rep_factor
+
+        def counted(tau, c):
+            calls.append(c)
+            return factor(tau, c)
+        monkeypatch.setattr(eta, "_rep_factor", counted)
+        t = character_table(f"c{l}")
+        eta_donnelly(cyclic_free_rep(l, (1, 2 * l - 1), (1, 2)), t.irreducible("r1") - t.trivial())
+        assert len(calls) == orbits
 
 
 class TestSymmetries:

@@ -414,3 +414,41 @@ def test_hermitian_sum_coerces_rationals_and_checks_the_divisor():
     assert hermitian_sum([], [], [], 1) == 0
     with pytest.raises(ValueError):
         hermitian_sum([1], [i], [i], 0)
+
+
+@pytest.mark.parametrize("exponent,products", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3)])
+def test_power_multiplies_once_per_bit(monkeypatch, exponent, products):
+    # square-and-multiply: one squaring per bit below the top one, one
+    # product per further set bit, and nothing after the top bit
+    x = 1 - root_of_unity(12, 1)
+    want = CyclotomicNumber.from_rational(1, 12)
+    for _ in range(exponent):
+        want = want * x
+    calls = []
+    mul = CyclotomicNumber.__mul__
+
+    def counted(a, b):
+        calls.append(b)
+        return mul(a, b)
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+    assert x ** exponent == want
+    assert len(calls) == products
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), order=st.integers(min_value=1, max_value=64))
+def test_trace_is_the_sum_of_the_conjugates(data, order):
+    phi = euler_phi(order)
+    x = CyclotomicNumber(order, data.draw(st.lists(
+        st.one_of(st.just(Fraction(0)), small_rational), min_size=phi, max_size=phi)))
+    total = CyclotomicNumber.from_rational(0)
+    for k in range(1, order + 1):
+        if math.gcd(k, order) == 1:
+            total = total + x.galois(k)
+    assert total.as_rational() == x.trace()
+
+
+def test_trace_of_roots_of_unity_is_the_ramanujan_sum():
+    # Tr(zeta_12^j) = mu(q) phi(12)/phi(q), q = 12/gcd(j, 12)
+    assert [root_of_unity(12, j).trace() for j in range(12)] == \
+        [4, 0, 2, 0, -2, 0, -4, 0, -2, 0, 2, 0]
