@@ -71,6 +71,18 @@ def c8_char(expr_j, minus_j=None):
     return chi
 
 
+def lens_weights(data, l, max_size=6):
+    """An even number of odd weights coprime to l, up to 2l: a weight
+    shifted by l changes the determinant square root."""
+    units = [u for u in range(1, 2 * l, 2) if math.gcd(u, l) == 1]
+    return tuple(data.draw(st.lists(st.sampled_from(units), min_size=2, max_size=max_size)
+                           .filter(lambda v: len(v) % 2 == 0)))
+
+
+def chern_numbers(data, a):
+    return tuple(data.draw(st.lists(st.integers(-3, 3), min_size=len(a), max_size=len(a))))
+
+
 class TestQuaternionClosedForms:
     @pytest.mark.parametrize("k", range(4))
     def test_first_power(self, k):
@@ -197,19 +209,14 @@ class TestAgreement:
 
     @staticmethod
     def _check(l, kind, data):
-        # weights up to 2l: a weight shifted by l changes the determinant
-        # square root, so unreduced weights are cases of their own
-        units = [u for u in range(1, 2 * l, 2) if math.gcd(u, l) == 1]
-        a = data.draw(st.lists(st.sampled_from(units), min_size=2, max_size=6)
-                      .filter(lambda v: len(v) % 2 == 0))
+        a = lens_weights(data, l)
         chern = None
         if kind == "bundle":
-            chern = data.draw(st.lists(st.integers(-3, 3), min_size=len(a),
-                                       max_size=len(a)))
+            chern = chern_numbers(data, a)
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=l, max_size=l))
         coeffs[0] -= sum(coeffs)  # virtual dimension zero
         chi = VirtualCharacter(character_table(f"c{l}"), coeffs)
-        check_lens_value(LensSpec(l, tuple(a), kind, chern), chi)
+        check_lens_value(LensSpec(l, a, kind, chern), chi)
 
     @settings(max_examples=40, deadline=None)
     @given(l=st.integers(2, 32), kind=st.sampled_from(("sphere", "bundle")),
@@ -258,14 +265,6 @@ class TestAgreement:
         assert abs(float(value) - eta_donnelly_float(rep, chi)) < 1e-9
 
 
-def lens_weights(data, l, max_size=6):
-    """An even number of odd weights coprime to l, up to 2l: a weight
-    shifted by l changes the determinant square root."""
-    units = [u for u in range(1, 2 * l, 2) if math.gcd(u, l) == 1]
-    return tuple(data.draw(st.lists(st.sampled_from(units), min_size=2, max_size=max_size)
-                           .filter(lambda v: len(v) % 2 == 0)))
-
-
 def random_character(data, table):
     """A virtual character of any dimension on the table."""
     n = len(table.rows)
@@ -309,8 +308,7 @@ class TestGaloisOrbits:
         a = lens_weights(data, l)
         chern = None
         if kind == "bundle":
-            chern = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=len(a),
-                                             max_size=len(a))))
+            chern = chern_numbers(data, a)
         chi = random_character(data, character_table(f"c{l}"))
         tau = cyclic_free_rep(l, a, chern)
         want = donnelly_by_class(tau, tau.group, chi.values)
@@ -339,8 +337,7 @@ class TestGaloisOrbits:
             a = lens_weights(data, l)
             chern = None
             if kind == "bundle":
-                chern = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=len(a),
-                                                 max_size=len(a))))
+                chern = chern_numbers(data, a)
             manifold = ManifoldSpec(lens=LensSpec(l, a, kind, chern), inclusion=inclusion)
             tau = cyclic_free_rep(l, a, chern)
         if data.draw(st.booleans()):
