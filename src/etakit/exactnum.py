@@ -17,7 +17,9 @@ geometric-sum identity writes each as an integer polynomial over n.  A
 weighted Hermitian sum sum w*x*conj(y), the character inner product,
 needs no field product either: `hermitian_sum` lifts every value into
 Z[x]/(x^N - 1) for the lcm N of the orders, where conjugation negates
-exponents, and reduces the integer sum by Phi_N once.  Phi_n itself
+exponents, and reduces the integer sum by Phi_N once; an integer
+combination sum w*x, the value of a virtual character at a class, is
+lifted and reduced the same way by `integer_combination`.  Phi_n itself
 comes from exact integer division of x^n - 1 by the monic Phi_d of the
 proper divisors d of n, so `Fraction` appears only where values enter
 or leave the module.  Everything is immutable and safe to share between
@@ -428,6 +430,26 @@ def hermitian_sum(weights: Iterable[int], xs: Iterable[_ValueLike],
                 for e, c in conj:
                     acc[(base + e) % n] += a * c
     return _normal(n, list(_reduce(acc, n)), den * divisor)
+
+
+def integer_combination(weights: Iterable[int],
+                        values: Iterable[CyclotomicNumber]) -> CyclotomicNumber:
+    """sum_i w_i * v_i for integer weights, with one reduction.  The values
+    of nonzero weight are lifted into Z[x] at N, the lcm of their orders
+    (power-basis exponent j at order n goes to j*N/n), over their common
+    denominator; the integer sum is reduced by Phi_N once and normalized
+    once.  The result has order N, 1 when no weight is nonzero."""
+    terms = [(w, v) for w, v in zip(weights, values) if w]
+    n = math.lcm(1, *(v._n for _, v in terms))
+    den = math.lcm(1, *(v._den for _, v in terms))
+    acc = [0] * n
+    for w, v in terms:
+        scale = w * (den // v._den)
+        step = n // v._n
+        for j, c in enumerate(v._num):
+            if c:
+                acc[j * step] += scale * c
+    return _normal(n, list(_reduce(acc, n)), den)
 
 
 def _cyc(value: _ValueLike) -> CyclotomicNumber:

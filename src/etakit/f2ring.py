@@ -3,13 +3,23 @@ elements: normal forms, graded bases, homomorphisms, dual-basis
 pushforwards, Steenrod squares via the Cartan formula, and Wu /
 Stiefel-Whitney classes for Poincare-duality presentations.
 
-Monomials are exponent tuples; an element is a set of normal-form
-monomials (coefficients live in F2, so duplicates cancel).  Normal forms
-come from a rewriting system completed by degree-bounded Buchberger
-S-polynomial resolution; because all the ideals here are homogeneous,
-the truncated system is exact in every degree up to the bound.  The
-tests certify confluence against a brute-force quotient-dimension oracle
-that shares no code with the rewriting path.
+An element is a set of normal-form monomials (coefficients live in F2, so
+duplicates cancel).  Inside the module each monomial is one packed
+integer: every exponent has a field of `EXPONENT_BITS` bits whose top bit
+is a guard, and the fields are laid out in `precedence` order under a top
+field that holds the degree.  So a monomial product is one integer
+addition, the integer order is the monomial order, and a rule lead
+divides m exactly when ((m + G - lead) & G) == G for the guard mask G.
+Exponent tuples are the public form: the element constructor,
+`.monomials`, `graded_basis`, `normal_form` of raw monomials and
+`dual_pushforward_map` take or return tuples, and a degree the fields
+cannot hold is refused with `DegreeBoundExceededError`.
+
+Normal forms come from a rewriting system completed by degree-bounded
+Buchberger S-polynomial resolution; because all the ideals here are
+homogeneous, the truncated system is exact in every degree up to the
+bound.  The tests certify confluence against a brute-force
+quotient-dimension oracle that shares no code with the rewriting path.
 
 Graded bases are walked directly under the staircase of the rule leads
 (`graded_basis`).  Sums of normal forms are collected in one mutable set
@@ -28,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .infix import parse_infix
 
@@ -36,6 +46,13 @@ Monomial = tuple[int, ...]
 
 # bounds the work of one product: the monomial pairs it multiplies out
 PRODUCT_TERM_CAP = 1 << 17
+
+# width of one packed exponent field, its guard bit included; every
+# exponent and every degree stays below PACKED_DEGREE_LIMIT, so no field
+# carries into the next and every guard bit of a stored monomial is clear
+EXPONENT_BITS = 32
+PACKED_DEGREE_LIMIT = 1 << (EXPONENT_BITS - 1)
+_FIELD_MASK = (1 << EXPONENT_BITS) - 1
 
 
 class F2ParseError(ValueError):
@@ -102,30 +119,39 @@ def gf2_solve_unique(rows: Sequence[int], rhs: Sequence[int], width: int) -> int
 
 
 class F2AlgebraElement:
-    """A normal-form sum of monomials of a fixed presented algebra."""
+    """A normal-form sum of monomials of a fixed presented algebra.  It is
+    built from exponent tuples and holds them packed; `monomials` decodes
+    them."""
 
-    __slots__ = ("algebra", "monomials")
+    __slots__ = ("algebra", "_packed")
 
-    def __init__(self, algebra: "PresentedF2Algebra", monomials: frozenset):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "monomials", monomials)
+    def __init__(self, algebra: "PresentedF2Algebra", monomials: Iterable[Monomial]):
+        _set_algebra(self, algebra)
+        _set_packed(self, frozenset(map(algebra._pack, monomials)))
 
     def __setattr__(self, *args):
         raise AttributeError("F2AlgebraElement is immutable")
 
+    @property
+    def monomials(self) -> frozenset:
+        """The monomials as exponent tuples."""
+        return frozenset(map(self.algebra._unpack, self._packed))
+
     def is_zero(self) -> bool:
-        return not self.monomials
+        return not self._packed
 
     def degree(self) -> Optional[int]:
         """Degree of a homogeneous element (None for 0)."""
-        degs = {self.algebra.monomial_degree(m) for m in self.monomials}
+        shift = self.algebra._deg_shift
+        degs = {m >> shift for m in self._packed}
         if len(degs) > 1:
             raise ValueError("element is not homogeneous")
         return degs.pop() if degs else None
 
     def __add__(self, other: "F2AlgebraElement") -> "F2AlgebraElement":
-        self._check(other)
-        return F2AlgebraElement(self.algebra, self.monomials ^ other.monomials)
+        if not isinstance(other, F2AlgebraElement) or other.algebra is not self.algebra:
+            raise ValueError("operands live in different algebras")
+        return _element(self.algebra, self._packed ^ other._packed)
 
     __sub__ = __add__  # characteristic 2
 
@@ -133,15 +159,27 @@ class F2AlgebraElement:
         return self
 
     def __mul__(self, other: "F2AlgebraElement") -> "F2AlgebraElement":
-        self._check(other)
-        a, b = self.monomials, other.monomials
+        alg = self.algebra
+        if not isinstance(other, F2AlgebraElement) or other.algebra is not alg:
+            raise ValueError("operands live in different algebras")
+        a, b = self._packed, other._packed
         if len(a) * len(b) > PRODUCT_TERM_CAP:
             raise DegreeBoundExceededError(
                 f"a product of {len(a)} by {len(b)} monomials exceeds the cap "
                 f"of {PRODUCT_TERM_CAP} monomial products")
-        alg = self.algebra
-        return F2AlgebraElement(alg, alg._reduce_sum(
-            tuple(map(operator.add, m1, m2)) for m1 in a for m2 in b))
+        # a monomial product is one integer addition; the product of a by
+        # the monomial m2 of b has distinct monomials, and those of the
+        # whole product count mod 2
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            (m2,) = b
+            raws: Collection[int] = [m1 + m2 for m1 in a]
+        else:
+            raws = set()
+            for m2 in b:
+                raws.symmetric_difference_update([m1 + m2 for m1 in a])
+        return _element(alg, alg._reduce_sum(raws))
 
     def __pow__(self, k: int) -> "F2AlgebraElement":
         if k < 0:
@@ -155,20 +193,15 @@ class F2AlgebraElement:
             if k:
                 # Frobenius: the algebra is commutative over F2, so the
                 # square of a sum of monomials is the sum of their squares
-                base = F2AlgebraElement(alg, alg._reduce_sum(
-                    tuple(2 * e for e in m) for m in base.monomials))
+                base = _element(alg, alg._reduce_sum([m << 1 for m in base._packed]))
         return result
-
-    def _check(self, other):
-        if not isinstance(other, F2AlgebraElement) or other.algebra is not self.algebra:
-            raise ValueError("operands live in different algebras")
 
     def __eq__(self, other):
         return (isinstance(other, F2AlgebraElement) and other.algebra is self.algebra
-                and other.monomials == self.monomials)
+                and other._packed == self._packed)
 
     def __hash__(self):
-        return hash((id(self.algebra), self.monomials))
+        return hash((id(self.algebra), self._packed))
 
     def __str__(self) -> str:
         return self.algebra.format_element(self)
@@ -176,12 +209,26 @@ class F2AlgebraElement:
     __repr__ = __str__
 
 
+# the slot setters, which bypass the immutability guard of __setattr__
+_set_algebra = F2AlgebraElement.algebra.__set__
+_set_packed = F2AlgebraElement._packed.__set__
+
+
+def _element(algebra: "PresentedF2Algebra", packed: frozenset) -> F2AlgebraElement:
+    """An element from a frozenset of packed normal-form monomials."""
+    e = object.__new__(F2AlgebraElement)
+    _set_algebra(e, algebra)
+    _set_packed(e, packed)
+    return e
+
+
 class PresentedF2Algebra:
     """F2[g_1, ..., g_r] / (relations), graded by generator degrees.
 
     `precedence` lists generator names from highest to lowest rewriting
     priority; the monomial order is degree first, then lexicographic on
-    the permuted exponents.  Relations must be homogeneous.
+    the permuted exponents, which is the integer order of the packed
+    monomials.  Relations must be homogeneous.
     """
 
     def __init__(self, name: str, generators: Sequence[tuple[str, int]],
@@ -200,18 +247,33 @@ class PresentedF2Algebra:
         self._gen_index = {n: i for i, n in enumerate(self.gen_names)}
         self.degree_bound = degree_bound
         if precedence is None:
-            self._prec = tuple(range(len(self.gen_names)))
+            prec = tuple(range(len(self.gen_names)))
         else:
             if sorted(precedence) != sorted(self.gen_names):
                 raise ValueError("precedence must be a permutation of the generators")
-            self._prec = tuple(self._gen_index[n] for n in precedence)
-        self.one = F2AlgebraElement(self, frozenset({(0,) * len(self.gen_names)}))
-        self.zero = F2AlgebraElement(self, frozenset())
+            prec = tuple(self._gen_index[n] for n in precedence)
+        # the packed layout: the highest-precedence generator in the highest
+        # exponent field, the degree in the field above all of them
+        r = len(prec)
+        self._field_gen = prec[::-1]  # generator of each field, lowest first
+        shifts = [0] * r
+        for k, i in enumerate(self._field_gen):
+            shifts[i] = k * EXPONENT_BITS
+        self._shifts = tuple(shifts)
+        self._deg_shift = r * EXPONENT_BITS
+        self._units = tuple((1 << s) + (d << self._deg_shift)
+                            for s, d in zip(shifts, self.gen_degrees))
+        self._guards = sum(1 << (k * EXPONENT_BITS + EXPONENT_BITS - 1)
+                           for k in range(r + 1))
+        # the least packed monomial that the normal form refuses
+        self._raw_limit = PACKED_DEGREE_LIMIT << self._deg_shift
+        self.one = _element(self, frozenset({0}))
+        self.zero = _element(self, frozenset())
         # with no rules yet, parsing yields raw free-algebra polynomials
-        self._rules: list[tuple[Monomial, frozenset]] = []
+        self._rules: list[tuple[int, frozenset]] = []
         self._truncated = False
         # normal form of each raw monomial, filled once the rules are final
-        self._nf_cache: Optional[dict[Monomial, frozenset]] = None
+        self._nf_cache: Optional[dict[int, frozenset]] = None
         self.raw_relations = tuple(self._coerce_relation(r) for r in relations)
         for r in self.raw_relations:
             degs = {self.monomial_degree(m) for m in r}
@@ -219,6 +281,8 @@ class PresentedF2Algebra:
                 raise ValueError(f"relation {sorted(r)} is not homogeneous")
         top_mon = None if poincare is None else self._single_monomial(poincare[1])
         self._complete_rewriting_system()
+        if self._truncated:
+            self._raw_limit = min(self._raw_limit, (degree_bound + 1) << self._deg_shift)
         self._nf_cache = {}
         self._basis_cache: dict[int, list[Monomial]] = {}
         self.poincare: Optional[tuple[int, Monomial]] = None
@@ -229,6 +293,7 @@ class PresentedF2Algebra:
                 raise ValueError(f"degree {dim} is not spanned by the designated "
                                  f"top monomial alone: basis {basis}")
             self.poincare = (dim, top_mon)
+            self._top_monomial = self._pack(top_mon)
 
     # -- presentation plumbing ------------------------------------------------
 
@@ -248,8 +313,39 @@ class PresentedF2Algebra:
     def monomial_degree(self, m: Monomial) -> int:
         return sum(map(operator.mul, m, self.gen_degrees))
 
-    def _key(self, m: Monomial):
-        return (self.monomial_degree(m),) + tuple(m[i] for i in self._prec)
+    def _pack(self, m: Monomial) -> int:
+        """The packed integer of an exponent tuple, checked."""
+        if len(m) != len(self._units):
+            raise ValueError(f"monomial {tuple(m)} needs {len(self._units)} exponents")
+        if min(m, default=0) < 0:
+            raise ValueError(f"monomial {tuple(m)} has a negative exponent")
+        p = sum(map(operator.mul, m, self._units))
+        if p >= PACKED_DEGREE_LIMIT << self._deg_shift:
+            raise self._degree_error(self.monomial_degree(m))
+        return p
+
+    def _pack_basis(self, n: int) -> list[int]:
+        """The packed monomials of `graded_basis(n)`, in its order; they are
+        normal forms already, so they need no check."""
+        units = self._units
+        return [sum(map(operator.mul, m, units)) for m in self._basis(n)]
+
+    def _unpack(self, p: int) -> Monomial:
+        """The exponent tuple of a packed monomial."""
+        return tuple([(p >> s) & _FIELD_MASK for s in self._shifts])
+
+    def _divides(self, lead: int, m: int) -> bool:
+        """Whether lead divides m: no field of m - lead borrows from its
+        guard bit."""
+        g = self._guards
+        return (m + g - lead) & g == g
+
+    def _degree_error(self, deg: int) -> DegreeBoundExceededError:
+        if self._truncated and deg > self.degree_bound:
+            return DegreeBoundExceededError(
+                f"degree {deg} exceeds the completion bound {self.degree_bound}")
+        return DegreeBoundExceededError(
+            f"degree {deg} exceeds the packed monomial limit {PACKED_DEGREE_LIMIT - 1}")
 
     # -- rewriting ---------------------------------------------------------------
 
@@ -261,62 +357,61 @@ class PresentedF2Algebra:
 
         tick = itertools.count()
         heap: list = []
+        shift = self._deg_shift
         for r in self.raw_relations:
             if r:
-                d = max(self.monomial_degree(m) for m in r)
-                heapq.heappush(heap, (d, next(tick), frozenset(r)))
+                poly = frozenset(map(self._pack, r))
+                heapq.heappush(heap, (max(poly) >> shift, next(tick), poly))
         while heap:
             _, _, poly = heapq.heappop(heap)
             reduced = self._reduce_poly(poly)
             if not reduced:
                 continue
-            lead = max(reduced, key=self._key)
-            tail = frozenset(reduced - {lead})
+            lead = max(reduced)
+            tail = reduced - {lead}
+            exps = self._unpack(lead)
             for other_lead, other_tail in self._rules:
-                if not any(a and b for a, b in zip(lead, other_lead)):
+                other = self._unpack(other_lead)
+                if not any(a and b for a, b in zip(exps, other)):
                     continue  # coprime leads: the S-polynomial reduces to zero
-                lcm = tuple(max(a, b) for a, b in zip(lead, other_lead))
+                lcm = tuple(map(max, exps, other))
                 d = self.monomial_degree(lcm)
                 if d > self.degree_bound:
                     self._truncated = True
                     continue
-                s1 = tuple(a - b for a, b in zip(lcm, lead))
-                s2 = tuple(a - b for a, b in zip(lcm, other_lead))
-                spoly = (frozenset(tuple(a + b for a, b in zip(m, s1)) for m in reduced)
-                         ^ frozenset(tuple(a + b for a, b in zip(m, s2))
-                                     for m in (other_tail | {other_lead})))
+                lcm = self._pack(lcm)
+                s1, s2 = lcm - lead, lcm - other_lead
+                spoly = (frozenset(m + s1 for m in reduced)
+                         ^ frozenset(m + s2 for m in other_tail | {other_lead}))
                 if spoly:
                     heapq.heappush(heap, (d, next(tick), spoly))
             self._rules.append((lead, tail))
         # drop rules with redundant leads, then inter-reduce the tails
         self._rules = [
             (lead, tail) for i, (lead, tail) in enumerate(self._rules)
-            if not any(j != i and all(a <= b for a, b in zip(ol, lead))
+            if not any(j != i and self._divides(ol, lead)
                        for j, (ol, _) in enumerate(self._rules))]
         self._rules = [(lead, self._reduce_poly(tail)) for lead, tail in self._rules]
 
-    def _reduce_poly(self, poly: Iterable[Monomial]) -> frozenset:
+    def _reduce_poly(self, poly: Iterable[int]) -> frozenset:
         work = set(poly)
-        done: set[Monomial] = set()
+        done: set[int] = set()
+        g, rules = self._guards, self._rules
         while work:
-            m = max(work, key=self._key) if len(work) > 1 else next(iter(work))
+            m = max(work)
             work.discard(m)
-            for lead, tail in self._rules:
-                if all(map(operator.le, lead, m)):
-                    shift = tuple(map(operator.sub, m, lead))
-                    work.symmetric_difference_update(
-                        [tuple(map(operator.add, t, shift)) for t in tail])
+            for lead, tail in rules:
+                if (m + g - lead) & g == g:
+                    shift = m - lead
+                    work.symmetric_difference_update([t + shift for t in tail])
                     break
             else:
                 done.add(m)
         return frozenset(done)
 
-    def _reduce_monomial(self, raw: Monomial) -> frozenset:
-        if self._truncated:
-            deg = self.monomial_degree(raw)
-            if deg > self.degree_bound:
-                raise DegreeBoundExceededError(
-                    f"degree {deg} exceeds the completion bound {self.degree_bound}")
+    def _reduce_monomial(self, raw: int) -> frozenset:
+        if raw >= self._raw_limit:
+            raise self._degree_error(raw >> self._deg_shift)
         cache = self._nf_cache
         if cache is None:
             return self._reduce_poly({raw})
@@ -332,23 +427,37 @@ class PresentedF2Algebra:
         if isinstance(e, F2AlgebraElement):
             if e.algebra is not self:
                 raise ValueError("element belongs to a different algebra")
-            e = e.monomials
-        elif isinstance(e, str):
+            return _element(self, self._reduce_sum(e._packed))
+        if isinstance(e, str):
             return self.parse(e)
-        return F2AlgebraElement(self, self._reduce_sum(tuple(m) for m in e))
+        odd: set[int] = set()
+        for m in map(self._pack, e):
+            odd ^= {m}  # each raw monomial counts mod 2
+        return _element(self, self._reduce_sum(odd))
 
-    def _reduce_sum(self, raws: Iterable[Monomial]) -> frozenset:
-        """Normal form of a sum of raw monomials, each counted mod 2; the
-        normal forms are collected in one set and frozen once."""
-        parity: dict[Monomial, int] = {}
-        for m in raws:
-            parity[m] = parity.get(m, 0) ^ 1
-        odd = [m for m, p in parity.items() if p]
-        if len(odd) == 1:
-            return self._reduce_monomial(odd[0])
-        out: set[Monomial] = set()
-        for m in odd:
-            out.symmetric_difference_update(self._reduce_monomial(m))
+    def _reduce_sum(self, mons: Collection[int]) -> frozenset:
+        """Normal form of a sum of distinct raw packed monomials.  Their
+        normal forms are mostly disjoint, and then the sum is their union,
+        taken at once; otherwise it is their symmetric difference."""
+        if len(mons) <= 1:
+            if not mons:
+                return frozenset()
+            (m,) = mons
+            return self._reduce_monomial(m)
+        cache = self._nf_cache
+        if cache is None or max(mons) >= self._raw_limit:
+            nfs = list(map(self._reduce_monomial, mons))
+        else:
+            nfs = list(map(cache.get, mons))
+            if None in nfs:
+                nfs = [self._reduce_monomial(m) if nf is None else nf
+                       for m, nf in zip(mons, nfs)]
+        total = frozenset().union(*nfs)
+        if len(total) == sum(map(len, nfs)):
+            return total
+        out: set[int] = set()
+        for nf in nfs:
+            out.symmetric_difference_update(nf)
         return frozenset(out)
 
     def parse(self, text: str) -> F2AlgebraElement:
@@ -362,9 +471,8 @@ class PresentedF2Algebra:
         return parse_infix(text, atom, lambda msg, pos: F2ParseError(msg, text, pos))
 
     def gen(self, name: str) -> F2AlgebraElement:
-        i = self._gen_index[name]
-        m = tuple(1 if j == i else 0 for j in range(len(self.gen_names)))
-        return self.normal_form([m])
+        unit = self._units[self._gen_index[name]]
+        return _element(self, self._reduce_sum([unit]))
 
     def graded_basis(self, n: int) -> list[Monomial]:
         """Normal-form monomials of degree n, in descending graded-lex order
@@ -378,65 +486,74 @@ class PresentedF2Algebra:
         larger one are divisible.  The last exponent is forced by the
         degree, so it is tested once.  Only degree n is listed; no lower
         degree is built or cached on the way."""
+        return list(self._basis(n))
+
+    def _basis(self, n: int) -> list[Monomial]:
+        """The cached list behind `graded_basis(n)`; the caller must not
+        change it."""
         if n < 0:
             return []
         if n > self.degree_bound:
             raise DegreeBoundExceededError(f"degree {n} exceeds bound {self.degree_bound}")
-        if n not in self._basis_cache:
-            out = self._normal_monomials(n)
-            out.sort(reverse=True)
-            self._basis_cache[n] = out
-        return list(self._basis_cache[n])
+        if n >= PACKED_DEGREE_LIMIT:
+            raise self._degree_error(n)
+        out = self._basis_cache.get(n)
+        if out is None:
+            # the walk lists the exponent tuples in ascending order
+            out = self._basis_cache[n] = self._normal_monomials(n)[::-1]
+        return out
 
     def _normal_monomials(self, n: int) -> list[Monomial]:
-        degs = self.gen_degrees
+        degs, units, g = self.gen_degrees, self._units, self._guards
         last = len(degs) - 1
         # each lead as (rest, e): e is the exponent of its last generator,
-        # under which it is filed, and rest the (generator, exponent) pairs
-        # before it
+        # under which it is filed, and rest the packed monomial of the
+        # generators before it
         closing: list[list] = [[] for _ in degs]
         for lead, _ in self._rules:
-            support = [(j, e) for j, e in enumerate(lead) if e]
+            exps = self._unpack(lead)
+            support = [j for j, e in enumerate(exps) if e]
             if not support:
                 return []  # 1 is a lead: the quotient is zero
-            j, e = support.pop()
-            closing[j].append((tuple(support), e))
+            j = support[-1]
+            closing[j].append((lead - exps[j] * units[j], exps[j]))
         if last < 0:
             return [()] if n == 0 else []
         prefix = [0] * len(degs)
         out: list[Monomial] = []
         last_step, last_closing = degs[last], closing[last]
 
-        def cap_at(i: int, cap: int) -> int:
+        def cap_at(i: int, cap: int, acc: int) -> int:
             """Lower `cap` to the least exponent of generator i that makes
-            the prefix divisible by a lead whose rest it already meets."""
+            the prefix, packed in `acc`, divisible by a lead whose rest it
+            already meets."""
             for rest, e in closing[i]:
-                if e < cap and all(prefix[j] >= r for j, r in rest):
+                if e < cap and (acc + g - rest) & g == g:
                     cap = e
             return cap
 
-        def walk(i: int, remaining: int) -> None:
-            step = degs[i]
-            cap = cap_at(i, remaining // step + 1)
+        def walk(i: int, remaining: int, acc: int) -> None:
+            step, unit = degs[i], units[i]
+            cap = cap_at(i, remaining // step + 1, acc)
             if i + 1 < last:
                 for e in range(cap):
                     prefix[i] = e
-                    walk(i + 1, remaining - e * step)
+                    walk(i + 1, remaining - e * step, acc + e * unit)
             else:
                 # the last exponent is forced by the degree: test it once
                 for e in range(cap):
                     f, r = divmod(remaining - e * step, last_step)
                     if not r:
                         prefix[i] = e
-                        if not last_closing or f < cap_at(last, f + 1):
+                        if not last_closing or f < cap_at(last, f + 1, acc + e * unit):
                             prefix[last] = f
                             out.append(tuple(prefix))
             prefix[i] = 0
 
         if last == 0:
             f, r = divmod(n, last_step)
-            return [(f,)] if not r and f < cap_at(0, f + 1) else []
-        walk(0, n)
+            return [(f,)] if not r and f < cap_at(0, f + 1, 0) else []
+        walk(0, n, 0)
         return out
 
     # -- Poincare pairing ------------------------------------------------------------
@@ -445,7 +562,7 @@ class PresentedF2Algebra:
         """Coefficient of the designated top monomial."""
         if self.poincare is None:
             raise ValueError(f"algebra {self.name} has no Poincare structure")
-        return 1 if self.poincare[1] in e.monomials else 0
+        return 1 if self._top_monomial in e._packed else 0
 
     # -- formatting --------------------------------------------------------------------
 
@@ -459,7 +576,7 @@ class PresentedF2Algebra:
         return "*".join(parts) if parts else "1"
 
     def format_element(self, e: F2AlgebraElement) -> str:
-        if not e.monomials:
+        if e.is_zero():
             return "0"
         mons = sorted(e.monomials, key=lambda m: (self.monomial_degree(m), m),
                       reverse=True)
@@ -473,18 +590,24 @@ class PresentedF2Algebra:
 # -- graded homomorphisms ---------------------------------------------------------
 
 
-def _monomial_value(m: Monomial, cache: dict, generator_values: Sequence) -> F2AlgebraElement:
-    """Value at m of the multiplicative map sending generator i to
-    generator_values[i]: the images of a homomorphism, or the total squares
-    of the generators.  `cache` must hold the value at the zero monomial.
-    With i the last generator of nonzero exponent in m, the value at m is
-    (value at m - e_i) * generator_values[i].  Every monomial on the way
-    down is cached, so each new monomial costs one product."""
+def _monomial_value(m: int, cache: dict, generator_values: Sequence,
+                    algebra: PresentedF2Algebra) -> F2AlgebraElement:
+    """Value at the packed monomial m of `algebra` of the multiplicative
+    map sending generator i to generator_values[i]: the images of a
+    homomorphism, or the total squares of the generators.  `cache` must
+    hold the value at the zero monomial.  With i the generator of the
+    lowest nonzero field of m, the value at m is (value at m / g_i) *
+    generator_values[i].  Every monomial on the way down is cached, so each
+    new monomial costs one product."""
+    value = cache.get(m)
+    if value is not None:
+        return value
     chain = []
+    field_gen, units = algebra._field_gen, algebra._units
     while m not in cache:
-        i = max(j for j, e in enumerate(m) if e)
+        i = field_gen[((m & -m).bit_length() - 1) // EXPONENT_BITS]
         chain.append((m, i))
-        m = m[:i] + (m[i] - 1,) + m[i + 1:]
+        m -= units[i]
     value = cache[m]
     for mon, i in reversed(chain):
         value = value * generator_values[i]
@@ -514,27 +637,28 @@ class GradedHom:
             if not img.is_zero() and img.degree() != gdeg:
                 raise ValueError(f"image of {gname} must be homogeneous of degree {gdeg}")
             self.images.append(img)
-        self._monomial_cache = {(0,) * len(self.images): target.one}
+        self._monomial_cache = {0: target.one}
         for rel in source.raw_relations:
-            total = target.zero
+            total: set[int] = set()
             for m in rel:
-                total = total + self._apply_monomial(m)
-            if not total.is_zero():
+                total.symmetric_difference_update(
+                    self._apply_monomial(source._pack(m))._packed)
+            if total:
                 raise ValueError(f"relation {sorted(rel)} does not map to zero "
                                  f"under {self.name}")
 
-    def _apply_monomial(self, m: Monomial) -> F2AlgebraElement:
-        return _monomial_value(m, self._monomial_cache, self.images)
+    def _apply_monomial(self, m: int) -> F2AlgebraElement:
+        return _monomial_value(m, self._monomial_cache, self.images, self.source)
 
     def __call__(self, e: Union[str, F2AlgebraElement]) -> F2AlgebraElement:
         if isinstance(e, str):
             e = self.source.parse(e)
         if e.algebra is not self.source:
             raise ValueError("element is not in the source algebra")
-        out: set[Monomial] = set()
-        for m in e.monomials:
-            out.symmetric_difference_update(self._apply_monomial(m).monomials)
-        return F2AlgebraElement(self.target, frozenset(out))
+        out: set[int] = set()
+        for m in e._packed:
+            out.symmetric_difference_update(self._apply_monomial(m)._packed)
+        return _element(self.target, frozenset(out))
 
     def __repr__(self) -> str:
         return f"GradedHom({self.name})"
@@ -545,12 +669,12 @@ def dual_pushforward_map(f: GradedHom, n: int) -> dict[Monomial, frozenset]:
     t, in target.graded_basis(n) order, maps to the set of source monomials
     of degree n whose image contains t.  Applied to the dual class of t it
     yields the sum of the dual classes of that set."""
-    src = f.source.graded_basis(n)
-    support: dict[Monomial, list] = {t: [] for t in f.target.graded_basis(n)}
-    for s in src:
-        for t in f._apply_monomial(s).monomials:
+    targets = f.target._basis(n)
+    support: dict[int, list] = {t: [] for t in f.target._pack_basis(n)}
+    for s, p in zip(f.source._basis(n), f.source._pack_basis(n)):
+        for t in f._apply_monomial(p)._packed:
             support[t].append(s)
-    return {t: frozenset(mons) for t, mons in support.items()}
+    return {t: frozenset(mons) for t, mons in zip(targets, support.values())}
 
 
 # -- Steenrod squares ---------------------------------------------------------------
@@ -594,10 +718,9 @@ class SteenrodData:
             raise InconsistentSteenrodDataError(f"unknown generators in data: {sorted(given)}")
         # the total square of each generator: its squares lie in distinct
         # degrees, so their sum is the union of their monomials
-        self._totals = [
-            F2AlgebraElement(algebra, frozenset().union(*(v.monomials for v in row)))
-            for row in self._series]
-        self._mono_cache = {(0,) * len(self._series): algebra.one}
+        self._totals = [_element(algebra, frozenset().union(*(v._packed for v in row)))
+                        for row in self._series]
+        self._mono_cache = {0: algebra.one}
         self._validate_relations()
 
     def _coerce(self, value) -> F2AlgebraElement:
@@ -607,38 +730,40 @@ class SteenrodData:
             return self.algebra.one if value % 2 else self.algebra.zero
         return self.algebra.normal_form(value)
 
-    def _total_square(self, m: Monomial) -> F2AlgebraElement:
-        """Sq(m) = Sq^0(m) + Sq^1(m) + ... of a raw monomial.  The total
-        square is multiplicative, and the degree of each of its monomials
-        tells which Sq^i that monomial belongs to."""
-        return _monomial_value(m, self._mono_cache, self._totals)
+    def _total_square(self, m: int) -> F2AlgebraElement:
+        """Sq(m) = Sq^0(m) + Sq^1(m) + ... of a raw packed monomial.  The
+        total square is multiplicative, and the degree of each of its
+        monomials tells which Sq^i that monomial belongs to."""
+        return _monomial_value(m, self._mono_cache, self._totals, self.algebra)
 
     def _validate_relations(self) -> None:
         alg = self.algebra
+        shift = alg._deg_shift
         for rel in alg.raw_relations:
-            total: set[Monomial] = set()
+            total: set[int] = set()
             for m in rel:
-                total.symmetric_difference_update(self._total_square(m).monomials)
+                total.symmetric_difference_update(self._total_square(alg._pack(m))._packed)
             if total:
                 d = alg.monomial_degree(next(iter(rel)))
-                i = min(alg.monomial_degree(t) for t in total) - d
-                val = F2AlgebraElement(alg, frozenset(
-                    t for t in total if alg.monomial_degree(t) == d + i))
+                low = min(total) >> shift
+                val = _element(alg, frozenset(t for t in total if t >> shift == low))
                 raise InconsistentSteenrodDataError(
-                    f"Sq^{i} of relation {sorted(rel)} is {val}, not 0")
+                    f"Sq^{low - d} of relation {sorted(rel)} is {val}, not 0")
 
     def sq(self, i: int, e: Union[str, F2AlgebraElement]) -> F2AlgebraElement:
         if isinstance(e, str):
             e = self.algebra.parse(e)
         if i < 0:
             raise ValueError("Sq^i needs i >= 0")
-        degree = self.algebra.monomial_degree
-        out: set[Monomial] = set()
-        for m in e.monomials:
-            d = degree(m) + i
+        shift = self.algebra._deg_shift
+        out: set[int] = set()
+        for m in e._packed:
+            # the monomials of degree deg(m) + i are the packed ints in [lo, hi)
+            lo = ((m >> shift) + i) << shift
+            hi = lo + (1 << shift)
             out.symmetric_difference_update(
-                [t for t in self._total_square(m).monomials if degree(t) == d])
-        return F2AlgebraElement(self.algebra, frozenset(out))
+                [t for t in self._total_square(m)._packed if lo <= t < hi])
+        return _element(self.algebra, frozenset(out))
 
 
 # -- Wu and Stiefel-Whitney classes ---------------------------------------------------
@@ -657,26 +782,26 @@ def wu_classes(algebra: PresentedF2Algebra, steenrod: SteenrodData) -> list[F2Al
     if d > WU_DIMENSION_CAP:
         raise DegreeBoundExceededError(
             f"formal dimension {d} exceeds the Wu cap {WU_DIMENSION_CAP}")
+    top = algebra._top_monomial
     out = []
     for j in range(d // 2 + 1):
-        basis_j = algebra.graded_basis(j)
-        basis_c = algebra.graded_basis(d - j)
+        basis_j = algebra._pack_basis(j)
+        basis_c = algebra._pack_basis(d - j)
         if len(basis_j) != len(basis_c):
             raise DegeneratePairingError(
                 f"degrees {j} and {d - j} have different ranks")
         rows, rhs = [], []
         for y in basis_c:
-            ye = F2AlgebraElement(algebra, frozenset({y}))
             row = 0
             for col, x in enumerate(basis_j):
-                xe = F2AlgebraElement(algebra, frozenset({x}))
-                if algebra.pairing(xe * ye):
+                # <x * y, top>: the product of two monomials is one addition
+                if top in algebra._reduce_monomial(x + y):
                     row |= 1 << col
             rows.append(row)
-            rhs.append(algebra.pairing(steenrod.sq(j, ye)))
+            rhs.append(algebra.pairing(steenrod.sq(j, _element(algebra, frozenset({y})))))
         solution = gf2_solve_unique(rows, rhs, len(basis_j))
-        mons = frozenset(m for col, m in enumerate(basis_j) if solution >> col & 1)
-        out.append(F2AlgebraElement(algebra, mons))
+        out.append(_element(algebra, frozenset(
+            x for col, x in enumerate(basis_j) if solution >> col & 1)))
     return out
 
 
@@ -687,14 +812,15 @@ def stiefel_whitney(algebra: PresentedF2Algebra, steenrod: SteenrodData,
     acts on, so that total square lives in degrees 0 .. d.  `wu` passes
     the Wu classes when the caller has them already."""
     v = wu_classes(algebra, steenrod) if wu is None else wu
-    total: set[Monomial] = set()
+    total: set[int] = set()
     for vj in v:
-        for m in vj.monomials:
-            total.symmetric_difference_update(steenrod._total_square(m).monomials)
-    parts: list[set[Monomial]] = [set() for _ in range(algebra.poincare[0] + 1)]
+        for m in vj._packed:
+            total.symmetric_difference_update(steenrod._total_square(m)._packed)
+    parts: list[set[int]] = [set() for _ in range(algebra.poincare[0] + 1)]
+    shift = algebra._deg_shift
     for t in total:
-        parts[algebra.monomial_degree(t)].add(t)
-    return [F2AlgebraElement(algebra, frozenset(p)) for p in parts]
+        parts[t >> shift].add(t)
+    return [_element(algebra, frozenset(p)) for p in parts]
 
 
 # -- builtin presentations ----------------------------------------------------------

@@ -517,13 +517,21 @@ def _span_algebras():
     return d8, v2, sd, d8_to_v2_restriction(d8, v2), sd_to_d8_restriction(sd, d8)
 
 
+@lru_cache(maxsize=None)
+def _klein_images(n: int) -> tuple[frozenset, ...]:
+    """The Klein-subgroup generators pushed into the dihedral homology, as
+    dual-basis supports, computed once per degree: prop51 spans them and
+    prop53 pushes them on into the semi-dihedral homology."""
+    push = dual_pushforward_map(_span_algebras()[3], n)
+    return tuple(_push(gen, push) for gen in klein_psc_generators(n))
+
+
 def dihedral_psc_span(n: int) -> list[int]:
     """Push the Klein-subgroup generators into the dihedral homology: the
     echelon basis of their span, as bitmasks over the dihedral basis."""
-    d8, _, _, f_dv, _ = _span_algebras()
+    d8 = _span_algebras()[0]
     index = {m: i for i, m in enumerate(d8.graded_basis(n))}
-    push = dual_pushforward_map(f_dv, n)
-    return gf2_echelon([_bitmask(_push(gen, push), index) for gen in klein_psc_generators(n)])
+    return gf2_echelon([_bitmask(image, index) for image in _klein_images(n)])
 
 
 def expected_dihedral_span(n: int) -> list[int]:
@@ -533,12 +541,12 @@ def expected_dihedral_span(n: int) -> list[int]:
     basis = d8.graded_basis(n)
     index = {m: i for i, m in enumerate(basis)}
     rows = []
+    # each exponent e of d fixes the exponent n - 2e of a
     if n % 4 == 2:
-        targets = [(4 * i, 0, 4 * j + 3) for i in range(n) for j in range(n)
-                   if 4 * i + 2 * (4 * j + 3) == n]
+        targets = [(n - 2 * e, 0, e) for e in range(3, n // 2 + 1, 4)]
     else:
-        targets = [(4 * i + 2, 0, 4 * j + 1) for i in range(n) for j in range(n)
-                   if 4 * i + 2 + 2 * (4 * j + 1) == n]
+        targets = [(n - 2 * e, 0, e) for e in range(1, n // 2 + 1, 4)
+                   if (n - 2 * e) % 4 == 2]
     for t in targets:
         if t in index:
             rows.append(1 << index[t])
@@ -579,15 +587,14 @@ def verify_prop53(n_max: int = 40) -> list[ClaimResult]:
     injectivity, the vanishing tail class, and the two-column rank count."""
     if n_max > SPAN_DEGREE_CAP:
         raise ValueError(f"n_max is capped at {SPAN_DEGREE_CAP}")
-    _, _, sd, f_dv, f_sd = _span_algebras()
+    _, _, sd, _, f_sd = _span_algebras()
     out = []
     for n in range(2, n_max + 1, 2):
         index = {m: i for i, m in enumerate(sd.graded_basis(n))}
         push = dual_pushforward_map(f_sd, n)
 
         # singleton identities and injectivity for i > 0 even, j odd
-        pairs = [(i, j) for i in range(2, n + 1, 2) for j in range(1, n, 2)
-                 if i + 2 * j == n]
+        pairs = [(i, (n - i) // 2) for i in range(2, n - 1, 2) if (n - i) // 2 % 2]
         images = {}
         singleton_ok = True
         for i, j in pairs:
@@ -608,9 +615,8 @@ def verify_prop53(n_max: int = 40) -> list[ClaimResult]:
         # composite span dimension against the reference two-column rank: the
         # Klein generators pushed through both maps span the image of the
         # dihedral span, by linearity
-        push_dv = dual_pushforward_map(f_dv, n)
-        rank = len(gf2_echelon([_bitmask(_push(_push(gen, push_dv), push), index)
-                                for gen in klein_psc_generators(n)]))
+        rank = len(gf2_echelon([_bitmask(_push(image, push), index)
+                                for image in _klein_images(n)]))
         table_rank = kerap_lookup(n)[1]
         out.append(claim(f"p53.n{n}.rank", "composite span meets the two-column rank",
                          table_rank, rank))

@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
-from .exactnum import CyclotomicNumber, hermitian_sum, parse_cyclotomic, root_of_unity
+from .exactnum import (CyclotomicNumber, hermitian_sum, integer_combination,
+                       parse_cyclotomic, root_of_unity)
 
 
 class UnsupportedGroupError(ValueError):
@@ -368,12 +369,10 @@ class VirtualCharacter:
 
     @cached_property
     def values(self) -> tuple[CyclotomicNumber, ...]:
-        """The value at each conjugacy class, in the table's class order."""
-        totals = [_cyc(0)] * len(self.coeffs)
-        for c, row in zip(self.coeffs, self.table.rows):
-            if c:
-                totals = [t + c * v for t, v in zip(totals, row)]
-        return tuple(totals)
+        """The value at each conjugacy class, in the table's class order:
+        one integer combination of the rows' values per class."""
+        return tuple(integer_combination(self.coeffs, column)
+                     for column in zip(*self.table.rows))
 
     @property
     def dim(self) -> int:

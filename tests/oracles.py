@@ -5,6 +5,10 @@ code with the path it checks.
   rewriting basis against `brute_quotient_dimension`, the GF(2) rank of
   every free relation multiple in each degree.  A disagreement means the
   rewriting system is not confluent.
+- `in_relation_ideal` and `free_product`: a product of the rewriting
+  path, less the product of the same monomials in the free algebra, must
+  lie in the relation ideal; membership is the same GF(2) rank test over
+  the free relation multiples.
 - `validate_columns`: column orthogonality of a character table.  Row
   orthonormality of a square table implies it, and construction checks the
   rows; this is the independent check on the columns.
@@ -15,6 +19,10 @@ code with the path it checks.
 - `donnelly_by_class`: the Donnelly sum with one summand per non-identity
   class and one factor per eigenvalue slot, the oracle of `eta`'s sum over
   Galois orbits of classes with one power per distinct eigenvalue.
+- `values_by_term`: the class values of a virtual character summed one
+  term c * value at a time in the field, the oracle of
+  `VirtualCharacter.values`, which reduces one integer combination per
+  class once.
 """
 
 from fractions import Fraction
@@ -53,9 +61,9 @@ def free_monomials(alg, n: int) -> list:
     return out
 
 
-def brute_quotient_dimension(alg, n: int) -> int:
-    """dim of degree n in the quotient, computed by GF(2) rank over all free
-    relation multiples of that degree."""
+def _relation_multiples(alg, n: int):
+    """The free monomials of degree n with their positions, and every free
+    relation multiple of degree n as a bitmask over those positions."""
     mons = free_monomials(alg, n)
     index = {m: i for i, m in enumerate(mons)}
     rows = []
@@ -70,7 +78,35 @@ def brute_quotient_dimension(alg, n: int) -> int:
             for t in rel:
                 row ^= 1 << index[tuple(a + b for a, b in zip(m, t))]
             rows.append(row)
-    return len(mons) - gf2_rank(rows)
+    return index, rows
+
+
+def brute_quotient_dimension(alg, n: int) -> int:
+    """dim of degree n in the quotient, computed by GF(2) rank over all free
+    relation multiples of that degree."""
+    index, rows = _relation_multiples(alg, n)
+    return len(index) - gf2_rank(rows)
+
+
+def free_product(a, b) -> set:
+    """The product of two sums of exponent tuples in the free algebra, each
+    monomial counted mod 2."""
+    out: set = set()
+    for m1 in a:
+        for m2 in b:
+            out ^= {tuple(x + y for x, y in zip(m1, m2))}
+    return out
+
+
+def in_relation_ideal(alg, n: int, poly) -> bool:
+    """Whether a sum of exponent tuples of degree n, each counted mod 2,
+    lies in the degree-n part of the relation ideal: adding it to the
+    relation multiples leaves their GF(2) rank unchanged."""
+    index, rows = _relation_multiples(alg, n)
+    target = 0
+    for m in poly:
+        target ^= 1 << index[m]
+    return gf2_rank(rows + [target]) == gf2_rank(rows)
 
 
 def validate_dimensions(alg, max_degree: int) -> None:
@@ -129,3 +165,16 @@ def donnelly_by_class(tau, group, values):
             term = term * factor
         total = total + group.class_sizes[c] * term
     return (total * Fraction(1, group.order)).as_rational()
+
+
+def values_by_term(chi):
+    """The class function of chi, summed from the table rows one class at
+    a time, one field sum per nonzero coefficient."""
+    out = []
+    for k in range(len(chi.table.rows)):
+        total = CyclotomicNumber.from_rational(0)
+        for c, row in zip(chi.coeffs, chi.table.rows):
+            if c:
+                total = total + c * row[k]
+        out.append(total)
+    return out

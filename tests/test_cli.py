@@ -270,13 +270,16 @@ class TestOtherCommands:
         (("nf", "--algebra", "sd", "--expr", "(y+u+P)^4095"), 1, "",
          "DegreeBoundExceededError: a product of 59050 by 3 monomials exceeds "
          "the cap of 131072 monomial products\n"),
+        (("nf", "--algebra", "sd", "--expr", "y^2147483648"), 1, "",
+         "DegreeBoundExceededError: degree 2147483648 exceeds the packed monomial "
+         "limit 2147483647\n"),
         (("restrict", "--group", "sd16", "--subgroup", "q8",
           "--images", "i=s^1000000000,j=t*s", "--chi", "rho2"),
          1, "", "NotASubgroupMapError: map is not injective\n"),
         (("restrict", "--group", "sd16", "--subgroup", "q8", "--chi", "rho2^100000"),
          1, "", "ValidationError: character power k = 100000 exceeds the cap 1024\n"),
-    ], ids=["algebra-power", "algebra-power-free", "algebra-power-capped", "group-power",
-            "character-power"])
+    ], ids=["algebra-power", "algebra-power-free", "algebra-power-capped",
+            "algebra-power-past-width", "group-power", "character-power"])
     def test_huge_exponent_ends_quickly(self, argv, code, out, err):
         proc = run_module("-m", "etakit.cli", *argv, timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -8,8 +8,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etakit.f2ring import (DegeneratePairingError, DegreeBoundExceededError,
-                           F2AlgebraElement, F2ParseError, GradedHom,
+from etakit.f2ring import (PACKED_DEGREE_LIMIT, DegeneratePairingError,
+                           DegreeBoundExceededError, F2AlgebraElement,
+                           F2ParseError, GradedHom,
                            InconsistentSteenrodDataError, PresentedF2Algebra,
                            SteenrodData, circle_bundle_cohomology,
                            circle_bundle_steenrod, circle_bundle_to_lens,
@@ -21,7 +22,8 @@ from etakit.f2ring import (DegeneratePairingError, DegreeBoundExceededError,
                            sq1_branch_data, sq1_branch_enumerate, stiefel_whitney,
                            wu_classes)
 from oracles import (NonConfluentPresentationError, brute_quotient_dimension,
-                     free_monomials, validate_dimensions)
+                     free_monomials, free_product, in_relation_ideal,
+                     validate_dimensions)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +132,8 @@ BUILTIN_PRESENTATIONS = (
 def assert_walk_matches_oracle(alg, max_degree):
     """The staircase walk against the oracle's free monomials, filtered by
     every rule lead and sorted, in every degree up to max_degree."""
-    supports = [[(j, e) for j, e in enumerate(lead) if e] for lead, _ in alg._rules]
+    supports = [[(j, e) for j, e in enumerate(alg._unpack(lead)) if e]
+                for lead, _ in alg._rules]
     for n in range(max_degree + 1):
         want = sorted((m for m in free_monomials(alg, n)
                        if not any(all(m[j] >= e for j, e in s) for s in supports)),
@@ -190,7 +193,7 @@ class TestNormalFormCache:
     def test_cached_reduction_matches_uncached(self, sd, m8):
         for alg in (sd, m8):
             for n in range(13):
-                for m in free_monomials(alg, n):
+                for m in map(alg._pack, free_monomials(alg, n)):
                     want = alg._reduce_poly({m})
                     assert alg._reduce_monomial(m) == want
                     assert alg._nf_cache[m] == want
@@ -206,11 +209,61 @@ class TestNormalFormCache:
     def test_bound_guard_on_every_call(self):
         alg = semidihedral_cohomology(degree_bound=4)
         assert alg._truncated
-        raw = (0, 5, 0, 0)
+        raw = alg._pack((0, 5, 0, 0))
         for _ in range(2):
             with pytest.raises(DegreeBoundExceededError):
                 alg._reduce_monomial(raw)
         assert raw not in alg._nf_cache
+
+
+class TestPackedMonomials:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_integer_order_is_the_monomial_order(self, data):
+        # degree first, then the exponents in precedence order u, y, x, P
+        sd = semidihedral_cohomology()
+        m1, m2 = draw_monomial(data, sd, 20), draw_monomial(data, sd, 20)
+
+        def key(m):
+            return (sd.monomial_degree(m), m[2], m[1], m[0], m[3])
+
+        p1, p2 = sd._pack(m1), sd._pack(m2)
+        assert (sd._unpack(p1), sd._unpack(p2)) == (m1, m2)
+        assert (p1 < p2) == (key(m1) < key(m2))
+        assert p1 + p2 == sd._pack(tuple(a + b for a, b in zip(m1, m2)))
+        assert sd._divides(p1, p2) == all(a <= b for a, b in zip(m1, m2))
+
+    def test_power_past_the_width(self, sd):
+        top = PACKED_DEGREE_LIMIT - 1
+        assert str(sd.parse("y") ** top) == f"y^{top}"
+        with pytest.raises(DegreeBoundExceededError, match="packed monomial limit"):
+            sd.parse("y") ** PACKED_DEGREE_LIMIT
+        # the degree counts, not the exponent: P has degree 4
+        with pytest.raises(DegreeBoundExceededError, match="packed monomial limit"):
+            sd.parse("P") ** (PACKED_DEGREE_LIMIT // 4)
+
+    def test_parse_past_the_width(self, sd):
+        with pytest.raises(DegreeBoundExceededError, match="packed monomial limit"):
+            sd.parse(f"y^{PACKED_DEGREE_LIMIT}")
+        with pytest.raises(DegreeBoundExceededError, match="packed monomial limit"):
+            sd.parse(f"y^{PACKED_DEGREE_LIMIT - 1} * (x + y)")
+
+    def test_tuples_past_the_width(self, v2):
+        top = PACKED_DEGREE_LIMIT - 1
+        assert F2AlgebraElement(v2, {(top, 0)}) == v2.parse(f"p^{top}")
+        with pytest.raises(DegreeBoundExceededError, match="packed monomial limit"):
+            F2AlgebraElement(v2, {(top, 1)})
+        with pytest.raises(DegreeBoundExceededError, match="packed monomial limit"):
+            v2.normal_form([(PACKED_DEGREE_LIMIT, 0)])
+        with pytest.raises(ValueError, match="negative exponent"):
+            v2.normal_form([(-1, 2)])
+        with pytest.raises(ValueError, match="needs 2 exponents"):
+            v2.normal_form([(1,)])
+
+    def test_degree_past_the_width(self):
+        alg = PresentedF2Algebra("wide", [("g", 1)], [], degree_bound=PACKED_DEGREE_LIMIT)
+        with pytest.raises(DegreeBoundExceededError, match="packed monomial limit"):
+            alg.graded_basis(PACKED_DEGREE_LIMIT)
 
 
 class TestConfluenceFailureDetection:
@@ -218,7 +271,7 @@ class TestConfluenceFailureDetection:
         # drop the completion-derived rule t^3 -> 0; the dimension oracle
         # must notice the disagreement
         alg = circle_bundle_cohomology(4)
-        alg._rules = [r for r in alg._rules if r[0] != (0, 3, 0)]
+        alg._rules = [r for r in alg._rules if r[0] != alg._pack((0, 3, 0))]
         alg._basis_cache.clear()
         with pytest.raises(NonConfluentPresentationError):
             validate_dimensions(alg, 8)
@@ -409,7 +462,8 @@ class TestMonomialMaps:
                          dict(zip(warm.source.gen_names, warm.images)))
         m = draw_monomial(data, warm.source, 48)
         want = reference_apply_monomial(warm, m)
-        assert cold._apply_monomial(m) == warm._apply_monomial(m) == want
+        p = warm.source._pack(m)
+        assert cold._apply_monomial(p) == warm._apply_monomial(p) == want
         e = warm.source.normal_form([m])
         assert warm(e) == sum((reference_apply_monomial(warm, n) for n in e.monomials),
                               warm.target.zero)
@@ -420,8 +474,8 @@ class TestMonomialMaps:
         steenrod = steenrod_data()[name]
         algebra = steenrod.algebra
         m = draw_monomial(data, algebra, 48)
-        assert steenrod._total_square(m) == sum(reference_monomial_series(steenrod, m),
-                                                algebra.zero)
+        assert steenrod._total_square(algebra._pack(m)) == sum(
+            reference_monomial_series(steenrod, m), algebra.zero)
         e = algebra.normal_form([m])
         for i in range(algebra.monomial_degree(m) + 2):
             assert steenrod.sq(i, e) == reference_sq(steenrod, i, e)
@@ -429,7 +483,8 @@ class TestMonomialMaps:
     def test_exponent_above_recursion_limit(self, v2):
         swap = GradedHom(v2, v2, {"p": "q", "q": "p"})
         k = sys.getrecursionlimit() + 10
-        assert swap._apply_monomial((0, k)) == F2AlgebraElement(v2, frozenset({(k, 0)}))
+        assert swap._apply_monomial(v2._pack((0, k))) == \
+            F2AlgebraElement(v2, frozenset({(k, 0)}))
         assert swap(v2.parse(f"p*q^{k}")) == v2.parse(f"p^{k}*q")
 
     @pytest.mark.parametrize("expr", ["x", "y + u", "x + y", "P + y^4 + u*x"])
@@ -470,6 +525,88 @@ class TestMonomialMaps:
             sd.parse("y + u + P") ** 4095
         # below the cap: every C(1023, j) is odd, so no term cancels
         assert len((sd.parse("y + P") ** 1023).monomials) == 1024
+
+
+PRODUCT_ALGEBRAS = {"sd": semidihedral_cohomology, "d8": dihedral_cohomology,
+                    "v2": klein_cohomology,
+                    "m16": functools.partial(circle_bundle_cohomology, 8),
+                    "lens7": functools.partial(lens_space_cohomology, 4)}
+
+
+@functools.cache
+def product_algebra(name):
+    return PRODUCT_ALGEBRAS[name]()
+
+
+def assert_reduces(alg, n, free, got):
+    """`got`, an element of degree n (or 0), is a normal form of the free
+    polynomial `free`: its monomials lie in the graded basis, and the two
+    differ by an element of the relation ideal."""
+    assert got.monomials <= set(alg.graded_basis(n))
+    assert in_relation_ideal(alg, n, set(free) ^ got.monomials)
+
+
+class TestProductOracle:
+    """Products, powers and monomial maps against the free algebra modulo
+    the relation ideal, an oracle that shares no code with rewriting."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(PRODUCT_ALGEBRAS)))
+    def test_product(self, data, name):
+        alg = product_algebra(name)
+        a, b = draw_element(data, alg, 6), draw_element(data, alg, 6)
+        product = a * b
+        if a.is_zero() or b.is_zero():
+            assert product.is_zero()
+            return
+        assert_reduces(alg, a.degree() + b.degree(),
+                       free_product(a.monomials, b.monomials), product)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(PRODUCT_ALGEBRAS)))
+    def test_power_by_frobenius(self, data, name):
+        alg = product_algebra(name)
+        a = draw_element(data, alg, 3)
+        k = data.draw(st.integers(min_value=0, max_value=5))
+        if a.is_zero():
+            assert a ** k == (alg.one if k == 0 else alg.zero)
+            return
+        free = {(0,) * len(alg.gen_names)}
+        for _ in range(k):
+            free = free_product(free, a.monomials)
+        assert_reduces(alg, k * a.degree(), free, a ** k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["sd->d8", "d8->v2", "sd->m16"]))
+    def test_hom_monomial_value(self, data, name):
+        hom = monomial_maps()[name]
+        m = draw_monomial(data, hom.source, 10)
+        free = {(0,) * len(hom.target.gen_names)}
+        for image, e in zip(hom.images, m):
+            for _ in range(e):
+                free = free_product(free, image.monomials)
+        assert_reduces(hom.target, hom.source.monomial_degree(m), free,
+                       hom._apply_monomial(hom.source._pack(m)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["sd", "m16"]))
+    def test_total_square_monomial_value(self, data, name):
+        steenrod = steenrod_data()[name]
+        alg = steenrod.algebra
+        m = draw_monomial(data, alg, 6)
+        # Sq(m) is the product of the total squares of its generators, of
+        # mixed degree: each degree is checked on its own
+        free = {(0,) * len(alg.gen_names)}
+        for row, e in zip(steenrod._series, m):
+            total = set().union(*(v.monomials for v in row))
+            for _ in range(e):
+                free = free_product(free, total)
+        got = steenrod._total_square(alg._pack(m))
+        d = alg.monomial_degree(m)
+        for n in range(d, 2 * d + 1):
+            part = F2AlgebraElement(alg, {t for t in got.monomials
+                                          if alg.monomial_degree(t) == n})
+            assert_reduces(alg, n, {t for t in free if alg.monomial_degree(t) == n}, part)
 
 
 class TestSteenrod:

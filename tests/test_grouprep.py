@@ -20,7 +20,7 @@ from etakit.grouprep import (CharacterTable, FiniteGroup, FreeUnitaryRep, Inclus
                              frobenius_schur, is_quaternion_type, is_real_type,
                              named_inclusion, quaternion_free_rep,
                              restrict_virtual, table_from_json)
-from oracles import validate_columns
+from oracles import validate_columns, values_by_term
 
 
 class TestBuiltinGroups:
@@ -243,25 +243,14 @@ class TestVirtualCharacters:
             t.irreducible("r0").dim
 
 
-def reference_values(chi):
-    """The class function of chi, summed from the table rows one class at
-    a time: the reference for the cached `VirtualCharacter.values`."""
-    out = []
-    for k in range(len(chi.table.rows)):
-        total = CyclotomicNumber.from_rational(0)
-        for c, row in zip(chi.coeffs, chi.table.rows):
-            if c:
-                total = total + c * row[k]
-        out.append(total)
-    return out
-
-
 @st.composite
 def characters(draw, tag):
     t = character_table(tag)
     n = len(t.rows)
     return VirtualCharacter(t, draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
 
+
+BUILTIN_TAGS = [f"c{n}" for n in range(1, 65)] + ["v2", "d8", "q8", "sd16"]
 
 # (subgroup, group, generator images): the restrictions the claims use
 RESTRICTIONS = [("c8", "sd16", {"g": "s"}), ("c2", "sd16", {"g": "t"}),
@@ -274,7 +263,7 @@ class TestOneRepresentation:
         lambda tag: st.tuples(characters(tag), characters(tag))), st.integers(0, 6))
     def test_values_against_row_sum(self, pair, k):
         a, b = pair
-        va, vb = reference_values(a), reference_values(b)
+        va, vb = values_by_term(a), values_by_term(b)
         assert list(a.values) == va
         assert list((a * b).values) == [x * y for x, y in zip(va, vb)]
         powers = [CyclotomicNumber.from_rational(1)] * len(va)
@@ -284,13 +273,21 @@ class TestOneRepresentation:
         assert list(a.conjugate().values) == [x.conjugate() for x in va]
         assert a.table.decompose(a.values) == a
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(BUILTIN_TAGS).flatmap(characters))
+    def test_values_identical_to_term_by_term_sum(self, chi):
+        # same value, same order and same normal form as the field sum
+        def exact(v):
+            return v.order, v.coeffs
+        assert [exact(v) for v in chi.values] == [exact(v) for v in values_by_term(chi)]
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(RESTRICTIONS).flatmap(
         lambda r: st.tuples(st.just(r), characters(r[1]))))
     def test_restriction_against_row_sum(self, case):
         (sub, group, images), chi = case
         inc = InclusionMap.from_images(builtin_group(sub), builtin_group(group), images)
-        values = reference_values(chi)
+        values = values_by_term(chi)
         want = [values[inc.target.class_of[inc.element_map[cls[0]]]]
                 for cls in inc.source.classes]
         restricted = restrict_virtual(chi, inc)
