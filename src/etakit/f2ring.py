@@ -172,8 +172,13 @@ class F2AlgebraElement:
         # whole product count mod 2
         if len(a) < len(b):
             a, b = b, a
+        if not b:
+            return alg.zero
         if len(b) == 1:
             (m2,) = b
+            if len(a) == 1:
+                (m1,) = a
+                return _element(alg, alg._reduce_monomial(m1 + m2))
             raws: Collection[int] = [m1 + m2 for m1 in a]
         else:
             raws = set()
@@ -447,6 +452,8 @@ class PresentedF2Algebra:
         cache = self._nf_cache
         if cache is None or max(mons) >= self._raw_limit:
             nfs = list(map(self._reduce_monomial, mons))
+        elif not self._rules:
+            return frozenset(mons)  # in a free algebra every monomial is normal
         else:
             nfs = list(map(cache.get, mons))
             if None in nfs:
