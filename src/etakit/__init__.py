@@ -24,7 +24,7 @@ from .f2ring import (DegeneratePairingError, DegreeBoundExceededError,
                      dual_pushforward_map, klein_cohomology,
                      lens_space_cohomology, sd_to_circle_bundle,
                      sd_to_d8_restriction, semidihedral_cohomology,
-                     semidihedral_steenrod, sq1_branch_enumerate,
+                     semidihedral_steenrod, sq1_branch_data,
                      stiefel_whitney, wu_classes)
 from .glrverify import (ClaimResult, Report, kerap_lookup, run_report,
                         table_ko_order)

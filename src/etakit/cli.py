@@ -30,8 +30,8 @@ from .f2ring import (F2ParseError, PresentedF2Algebra, SteenrodData,
                      semidihedral_steenrod, stiefel_whitney, wu_classes)
 from .grouprep import (NAMED_INCLUSIONS, CharacterTable, InclusionMap,
                        ValidationError, VirtualCharacter, builtin_group,
-                       character_table, named_inclusion, restrict_virtual,
-                       table_from_json)
+                       character_table, check_json, check_json_int,
+                       named_inclusion, restrict_virtual, table_from_json)
 from .infix import parse_infix
 
 
@@ -57,7 +57,8 @@ class Config:
 
 
 def load_config(path: Optional[str]) -> Config:
-    """Read the JSON configuration; absent keys fall back to defaults."""
+    """Read the JSON configuration; absent keys fall back to defaults.  A
+    value of the wrong JSON shape ends in a ValidationError."""
     if path is None:
         path = os.environ.get("ETAKIT_CONFIG")
     if path is None:
@@ -70,27 +71,41 @@ def load_config(path: Optional[str]) -> Config:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config: {exc.msg} (line {exc.lineno}, column {exc.colno})")
-    cfg = Config(degree_bound=int(data.get("degree_bound", 64)))
-    for name, block in data.get("algebras", {}).items():
-        gens = [(g[0], int(g[1])) for g in block["generators"]]
+    data = check_json(data, dict, "the configuration")
+    cfg = Config(degree_bound=check_json_int(data.get("degree_bound", 64), "degree_bound"))
+    for name, block in check_json(data.get("algebras", {}), dict, "'algebras'").items():
+        where = f"algebra {name!r}"
+        block = check_json(block, dict, where)
+        gens = []
+        for g in check_json(block["generators"], list, f"{where}: 'generators'"):
+            if not isinstance(g, list) or len(g) != 2:
+                raise ValidationError(f"{where}: generator {g!r} is not a [name, degree] pair")
+            gens.append((g[0], check_json_int(g[1], f"{where}: the degree of {g[0]!r}")))
         poincare = None
         if "poincare" in block:
-            poincare = (int(block["poincare"]["dimension"]), block["poincare"]["top"])
+            pd = check_json(block["poincare"], dict, f"{where}: 'poincare'")
+            poincare = (check_json_int(pd["dimension"], f"{where}: the dimension"), pd["top"])
+        relations = check_json(block.get("relations", []), list, f"{where}: 'relations'")
+        bound = check_json_int(block.get("degree_bound", cfg.degree_bound),
+                               f"{where}: 'degree_bound'")
         try:
-            alg = PresentedF2Algebra(
-                f"custom:{name}", gens, block.get("relations", []),
-                degree_bound=int(block.get("degree_bound", cfg.degree_bound)),
-                precedence=block.get("precedence"), poincare=poincare)
-        except ValueError as exc:
+            alg = PresentedF2Algebra(f"custom:{name}", gens, relations, degree_bound=bound,
+                                     precedence=block.get("precedence"), poincare=poincare)
+        except (ValueError, TypeError) as exc:
             if isinstance(exc, F2ParseError):
                 raise
-            raise ValidationError(f"algebra {name!r}: {exc}")
+            raise ValidationError(f"{where}: {exc}")
         cfg.algebras[name] = alg
         if "steenrod" in block:
-            table = {(g, int(i)): v for g, sub in block["steenrod"].items()
-                     for i, v in sub.items()}
+            table = {}
+            for g, sub in check_json(block["steenrod"], dict, f"{where}: 'steenrod'").items():
+                for i, v in check_json(sub, dict, f"{where}: the squares of {g!r}").items():
+                    if not isinstance(v, (str, int)):
+                        raise ValidationError(f"{where}: Sq^{i}({g}) must be a string "
+                                              f"or an integer")
+                    table[g, int(i)] = v
             cfg.steenrod[name] = SteenrodData(alg, table)
-    for name, block in data.get("tables", {}).items():
+    for name, block in check_json(data.get("tables", {}), dict, "'tables'").items():
         cfg.tables[name] = table_from_json(block)
     return cfg
 

@@ -27,6 +27,10 @@ and frozen once, so a product costs time linear in its result; powers
 square by Frobenius, and a product that would form more than
 `PRODUCT_TERM_CAP` monomial pairs is refused.
 
+Values from outside the module (strings, integers read mod 2, raw
+exponent tuples, elements) enter through `PresentedF2Algebra.normal_form`,
+which refuses an element of another algebra.
+
 Homomorphisms and the total Steenrod square Sq = Sq^0 + Sq^1 + ... are
 both multiplicative maps on monomials: `_monomial_value` builds the value
 of a new monomial from the cached value of its predecessor with one
@@ -277,14 +281,13 @@ class PresentedF2Algebra:
         # with no rules yet, parsing yields raw free-algebra polynomials
         self._rules: list[tuple[int, frozenset]] = []
         self._truncated = False
-        # normal form of each raw monomial, filled once the rules are final
-        self._nf_cache: Optional[dict[int, frozenset]] = None
-        self.raw_relations = tuple(self._coerce_relation(r) for r in relations)
+        # normal form of each raw monomial; emptied once the rules are final
+        self._nf_cache: dict[int, frozenset] = {}
+        self.raw_relations = tuple(self.normal_form(r).monomials for r in relations)
         for r in self.raw_relations:
             degs = {self.monomial_degree(m) for m in r}
             if len(degs) != 1:
                 raise ValueError(f"relation {sorted(r)} is not homogeneous")
-        top_mon = None if poincare is None else self._single_monomial(poincare[1])
         self._complete_rewriting_system()
         if self._truncated:
             self._raw_limit = min(self._raw_limit, (degree_bound + 1) << self._deg_shift)
@@ -292,28 +295,16 @@ class PresentedF2Algebra:
         self._basis_cache: dict[int, list[Monomial]] = {}
         self.poincare: Optional[tuple[int, Monomial]] = None
         if poincare is not None:
-            dim = poincare[0]
+            dim, top = poincare
             basis = self.graded_basis(dim)
-            if basis != [top_mon]:
+            top_mons = self.normal_form(top if isinstance(top, str) else [top]).monomials
+            if len(basis) != 1 or set(basis) != top_mons:
                 raise ValueError(f"degree {dim} is not spanned by the designated "
                                  f"top monomial alone: basis {basis}")
-            self.poincare = (dim, top_mon)
-            self._top_monomial = self._pack(top_mon)
+            self.poincare = (dim, basis[0])
+            self._top_monomial = self._pack(basis[0])
 
     # -- presentation plumbing ------------------------------------------------
-
-    def _coerce_relation(self, rel) -> frozenset:
-        if isinstance(rel, str):
-            return self.parse(rel).monomials
-        return frozenset(tuple(m) for m in rel)
-
-    def _single_monomial(self, spec: Union[str, Monomial]) -> Monomial:
-        if isinstance(spec, str):
-            mons = self.parse(spec).monomials
-            if len(mons) != 1:
-                raise ValueError(f"{spec!r} is not a single monomial")
-            return next(iter(mons))
-        return tuple(spec)
 
     def monomial_degree(self, m: Monomial) -> int:
         return sum(map(operator.mul, m, self.gen_degrees))
@@ -417,24 +408,27 @@ class PresentedF2Algebra:
     def _reduce_monomial(self, raw: int) -> frozenset:
         if raw >= self._raw_limit:
             raise self._degree_error(raw >> self._deg_shift)
-        cache = self._nf_cache
-        if cache is None:
-            return self._reduce_poly({raw})
-        nf = cache.get(raw)
+        nf = self._nf_cache.get(raw)
         if nf is None:
-            nf = cache[raw] = self._reduce_poly({raw})
+            nf = self._nf_cache[raw] = self._reduce_poly({raw})
         return nf
 
     # -- public surface ------------------------------------------------------------
 
-    def normal_form(self, e: Union[str, "F2AlgebraElement", Iterable[Monomial]]) -> F2AlgebraElement:
-        """Unique normal form of a raw polynomial; idempotent on elements."""
+    def normal_form(self, e: Union[str, int, "F2AlgebraElement",
+                                   Iterable[Monomial]]) -> F2AlgebraElement:
+        """Unique normal form of an element of this algebra, a string, an
+        integer (read mod 2) or a raw polynomial given by its exponent
+        tuples; idempotent on elements.  Every value from outside the
+        module enters here, and an element of another algebra is refused."""
         if isinstance(e, F2AlgebraElement):
             if e.algebra is not self:
                 raise ValueError("element belongs to a different algebra")
             return _element(self, self._reduce_sum(e._packed))
         if isinstance(e, str):
             return self.parse(e)
+        if isinstance(e, int):
+            return self.one if e % 2 else self.zero
         odd: set[int] = set()
         for m in map(self._pack, e):
             odd ^= {m}  # each raw monomial counts mod 2
@@ -449,13 +443,12 @@ class PresentedF2Algebra:
                 return frozenset()
             (m,) = mons
             return self._reduce_monomial(m)
-        cache = self._nf_cache
-        if cache is None or max(mons) >= self._raw_limit:
+        if max(mons) >= self._raw_limit:
             nfs = list(map(self._reduce_monomial, mons))
         elif not self._rules:
             return frozenset(mons)  # in a free algebra every monomial is normal
         else:
-            nfs = list(map(cache.get, mons))
+            nfs = list(map(self._nf_cache.get, mons))
             if None in nfs:
                 nfs = [self._reduce_monomial(m) if nf is None else nf
                        for m, nf in zip(mons, nfs)]
@@ -565,11 +558,11 @@ class PresentedF2Algebra:
 
     # -- Poincare pairing ------------------------------------------------------------
 
-    def pairing(self, e: F2AlgebraElement) -> int:
+    def pairing(self, e: Union[str, F2AlgebraElement]) -> int:
         """Coefficient of the designated top monomial."""
         if self.poincare is None:
             raise ValueError(f"algebra {self.name} has no Poincare structure")
-        return 1 if self._top_monomial in e._packed else 0
+        return 1 if self._top_monomial in self.normal_form(e)._packed else 0
 
     # -- formatting --------------------------------------------------------------------
 
@@ -636,11 +629,7 @@ class GradedHom:
         for gname, gdeg in zip(source.gen_names, source.gen_degrees):
             if gname not in images:
                 raise ValueError(f"missing image for generator {gname!r}")
-            img = images[gname]
-            if isinstance(img, str):
-                img = target.parse(img)
-            elif isinstance(img, int):
-                img = target.one if img % 2 else target.zero
+            img = target.normal_form(images[gname])
             if not img.is_zero() and img.degree() != gdeg:
                 raise ValueError(f"image of {gname} must be homogeneous of degree {gdeg}")
             self.images.append(img)
@@ -658,12 +647,8 @@ class GradedHom:
         return _monomial_value(m, self._monomial_cache, self.images, self.source)
 
     def __call__(self, e: Union[str, F2AlgebraElement]) -> F2AlgebraElement:
-        if isinstance(e, str):
-            e = self.source.parse(e)
-        if e.algebra is not self.source:
-            raise ValueError("element is not in the source algebra")
         out: set[int] = set()
-        for m in e._packed:
+        for m in self.source.normal_form(e)._packed:
             out.symmetric_difference_update(self._apply_monomial(m)._packed)
         return _element(self.target, frozenset(out))
 
@@ -690,52 +675,46 @@ def dual_pushforward_map(f: GradedHom, n: int) -> dict[Monomial, frozenset]:
 class SteenrodData:
     """Squares on generators, extended by the Cartan formula.
 
-    Sq^0 is the identity and Sq^deg the squaring map; those defaults are
-    filled in automatically, intermediate values must be supplied.  The
-    total square of every relation is checked to vanish."""
+    Each generator g keeps one total square Sq(g) = Sq^0(g) + ... +
+    Sq^deg(g).  Sq^0(g) = g and Sq^deg(g) = g^2 are forced and may be
+    omitted; every Sq^i(g) with 0 < i < deg must be supplied, a value above
+    the degree must be 0, and a negative index is refused.  The total
+    square of every relation is checked to vanish."""
 
     def __init__(self, algebra: PresentedF2Algebra,
                  sq_on_generators: Optional[Mapping] = None):
         self.algebra = algebra
-        given = dict(sq_on_generators or {})
-        self._series: list[list[F2AlgebraElement]] = []
-        for gi, (gname, gdeg) in enumerate(zip(algebra.gen_names, algebra.gen_degrees)):
-            gen = algebra.gen(gname)
-            row = [None] * (gdeg + 1)
-            row[0] = gen
-            row[gdeg] = gen * gen
-            for i in range(1, gdeg):
-                key = (gname, i)
-                if key not in given:
+        degrees = dict(zip(algebra.gen_names, algebra.gen_degrees))
+        squares: dict[tuple[str, int], F2AlgebraElement] = {}
+        for g, d in degrees.items():
+            gen = algebra.gen(g)
+            squares[g, 0], squares[g, d] = gen, gen * gen
+        for (g, i), value in (sq_on_generators or {}).items():
+            if g not in degrees:
+                raise InconsistentSteenrodDataError(f"unknown generator {g!r} in data")
+            if i < 0:
+                raise InconsistentSteenrodDataError(f"Sq^{i}({g}) needs i >= 0")
+            d, value = degrees[g], algebra.normal_form(value)
+            if i > d and not value.is_zero():
+                raise InconsistentSteenrodDataError(f"Sq^{i}({g}) must be 0 above the degree {d}")
+            if i in (0, d) and value != squares[g, i]:
+                raise InconsistentSteenrodDataError(f"Sq^{i}({g}) contradicts the forced value")
+            if 0 < i < d:
+                if not value.is_zero() and value.degree() != d + i:
                     raise InconsistentSteenrodDataError(
-                        f"missing Sq^{i}({gname}); supply it explicitly")
-                row[i] = self._coerce(given.pop(key))
-            for key in list(given):
-                if key[0] == gname:
-                    val = self._coerce(given.pop(key))
-                    if val != row[key[1]]:
-                        raise InconsistentSteenrodDataError(
-                            f"Sq^{key[1]}({gname}) contradicts the forced value")
-            for i, val in enumerate(row):
-                if not val.is_zero() and val.degree() != gdeg + i:
-                    raise InconsistentSteenrodDataError(
-                        f"Sq^{i}({gname}) must be homogeneous of degree {gdeg + i}")
-            self._series.append(row)
-        if given:
-            raise InconsistentSteenrodDataError(f"unknown generators in data: {sorted(given)}")
-        # the total square of each generator: its squares lie in distinct
-        # degrees, so their sum is the union of their monomials
-        self._totals = [_element(algebra, frozenset().union(*(v._packed for v in row)))
-                        for row in self._series]
+                        f"Sq^{i}({g}) must be homogeneous of degree {d + i}")
+                squares[g, i] = value
+        missing = next(((g, i) for g, d in degrees.items() for i in range(1, d)
+                        if (g, i) not in squares), None)
+        if missing:
+            raise InconsistentSteenrodDataError(
+                f"missing Sq^{missing[1]}({missing[0]}); supply it explicitly")
+        # the squares of a generator lie in distinct degrees, so its total
+        # square is the union of their monomials
+        self._totals = [_element(algebra, frozenset().union(
+            *(squares[g, i]._packed for i in range(d + 1)))) for g, d in degrees.items()]
         self._mono_cache = {0: algebra.one}
         self._validate_relations()
-
-    def _coerce(self, value) -> F2AlgebraElement:
-        if isinstance(value, str):
-            return self.algebra.parse(value)
-        if isinstance(value, int):
-            return self.algebra.one if value % 2 else self.algebra.zero
-        return self.algebra.normal_form(value)
 
     def _total_square(self, m: int) -> F2AlgebraElement:
         """Sq(m) = Sq^0(m) + Sq^1(m) + ... of a raw packed monomial.  The
@@ -758,13 +737,11 @@ class SteenrodData:
                     f"Sq^{low - d} of relation {sorted(rel)} is {val}, not 0")
 
     def sq(self, i: int, e: Union[str, F2AlgebraElement]) -> F2AlgebraElement:
-        if isinstance(e, str):
-            e = self.algebra.parse(e)
         if i < 0:
             raise ValueError("Sq^i needs i >= 0")
         shift = self.algebra._deg_shift
         out: set[int] = set()
-        for m in e._packed:
+        for m in self.algebra.normal_form(e)._packed:
             # the monomials of degree deg(m) + i are the packed ints in [lo, hi)
             lo = ((m >> shift) + i) << shift
             hi = lo + (1 << shift)
@@ -805,7 +782,8 @@ def wu_classes(algebra: PresentedF2Algebra, steenrod: SteenrodData) -> list[F2Al
                 if top in algebra._reduce_monomial(x + y):
                     row |= 1 << col
             rows.append(row)
-            rhs.append(algebra.pairing(steenrod.sq(j, _element(algebra, frozenset({y})))))
+            # <Sq^j(y), top>: Sq^j(y) is the degree-d part of the total square
+            rhs.append(int(top in steenrod._total_square(y)._packed))
         solution = gf2_solve_unique(rows, rhs, len(basis_j))
         out.append(_element(algebra, frozenset(
             x for col, x in enumerate(basis_j) if solution >> col & 1)))
@@ -941,11 +919,3 @@ def sq1_branch_data(m: PresentedF2Algebra) -> list[tuple[F2AlgebraElement, Steen
     admissible.sort(key=lambda pair: sorted(pair[0].monomials), reverse=True)
     return admissible
 
-
-def sq1_branch_enumerate(m: PresentedF2Algebra,
-                         require_w1_zero: bool = False) -> list[F2AlgebraElement]:
-    """The admissible values of Sq^1(Z) of `sq1_branch_data`.  With
-    `require_w1_zero` the orientation obstruction w_1 = v_1 must also
-    vanish."""
-    return [candidate for candidate, data in sq1_branch_data(m)
-            if not require_w1_zero or wu_classes(m, data)[1].is_zero()]

@@ -60,22 +60,12 @@ def claim(claim_id: str, anchor: str, expected, computed) -> ClaimResult:
 # -- reference table of kernel orders ----------------------------------------
 
 
-_KERAP_EXPLICIT = {
-    0: ((), 0), 1: ((), 0), 2: ((), 0),
-    3: ((4, 8, 8), 0),
-    4: ((), 1),
-    5: ((2,), 0),
-    6: ((), 0),
-    7: ((2, 4, 16, 32), 0),
-    8: ((2,), 1),
-    9: ((2, 2), 0),
-    10: ((), 1),
-    11: ((8, 16, 128, 128), 0),
-    12: ((), 2),
-    13: ((4,), 0),
-    14: ((), 1),
-    15: ((2, 8, 16, 256, 512), 0),
-}
+# the rows where the closed form of `kerap_lookup` does not hold
+_KERAP_EXPLICIT = {0: ((), 0), 1: ((), 0), 3: ((4, 8, 8), 0), 8: ((2,), 1),
+                   9: ((2, 2), 0)}
+
+# bounds the powers of 16 that the closed form builds
+KERAP_DIMENSION_CAP = 4096
 
 
 def kerap_lookup(n: int) -> tuple[tuple[int, ...], int]:
@@ -83,7 +73,9 @@ def kerap_lookup(n: int) -> tuple[tuple[int, ...], int]:
     summands and the rank of the two-column elementary abelian part."""
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    if n <= 15:
+    if n > KERAP_DIMENSION_CAP:
+        raise ValueError(f"dimension {n} exceeds the kernel-table cap {KERAP_DIMENSION_CAP}")
+    if n in _KERAP_EXPLICIT:
         return _KERAP_EXPLICIT[n]
     k, r = divmod(n, 8)
     if r == 0:

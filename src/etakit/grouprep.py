@@ -52,6 +52,21 @@ class ValidationError(ValueError):
     pass
 
 
+def check_json(value, kind: type, where: str):
+    """`value` when it is a JSON object (kind dict), array (list) or string (str)."""
+    if not isinstance(value, kind):
+        noun = {dict: "an object", list: "an array", str: "a string"}[kind]
+        raise ValidationError(f"{where} must be {noun}")
+    return value
+
+
+def check_json_int(value, where: str) -> int:
+    """`value` as an int, when it is a JSON integer or a numeral string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValidationError(f"{where} must be an integer")
+    return int(value)
+
+
 def _cyc(value: Union[int, Fraction, CyclotomicNumber]) -> CyclotomicNumber:
     if isinstance(value, CyclotomicNumber):
         return value
@@ -783,28 +798,32 @@ def table_from_json(data: Union[str, dict]) -> CharacterTable:
     """
     if isinstance(data, str):
         data = json.loads(data)
-    try:
-        group = builtin_group(data["group"])
-    except KeyError:
+    data = check_json(data, dict, "a character table")
+    if "group" not in data:
         raise ValidationError("missing field 'group'")
+    group = builtin_group(check_json(data["group"], str, "'group'"))
     classes = data.get("classes")
     if classes is not None:
-        if len(classes) != len(group.classes):
+        if len(check_json(classes, list, "'classes'")) != len(group.classes):
             raise ValidationError(f"expected {len(group.classes)} classes, "
                                   f"got {len(classes)}")
         for ci, cls in enumerate(classes):
-            if int(cls["size"]) != group.class_sizes[ci]:
-                raise ValidationError(f"class {ci}: size {cls['size']} != "
+            size = check_json(cls, dict, f"class {ci}")["size"]
+            if check_json_int(size, f"class {ci}: 'size'") != group.class_sizes[ci]:
+                raise ValidationError(f"class {ci}: size {size} != "
                                       f"{group.class_sizes[ci]}")
     rows, names = [], []
-    for ri, irr in enumerate(data.get("irreducibles", [])):
+    for ri, irr in enumerate(check_json(data.get("irreducibles", []), list,
+                                        "'irreducibles'")):
+        irr = check_json(irr, dict, f"irreducible row {ri}")
         names.append(irr.get("name", f"x{ri}"))
         values = []
-        for ci, text in enumerate(irr["values"]):
+        for ci, text in enumerate(check_json(irr["values"], list,
+                                             f"irreducible row {ri}: 'values'")):
             try:
                 values.append(parse_cyclotomic(text) if isinstance(text, str)
                               else _cyc(text))
-            except (ValueError, ArithmeticError) as exc:
+            except (ValueError, ArithmeticError, TypeError) as exc:
                 raise ValidationError(f"irreducible row {ri}, class {ci}: {exc}")
         rows.append(values)
     try:

@@ -339,6 +339,17 @@ class TestOtherCommands:
         _, out, _ = run_cli(capsys, "table", "--n", "11")
         assert out == "n=11: one-column orders [8, 16, 128, 128], two-column rank 0\n"
 
+    @pytest.mark.parametrize("n", ["4097", "80000003", "100000000000000000003"])
+    def test_table_kernel_row_above_the_cap_ends_quickly(self, n):
+        proc = run_module("-m", "etakit.cli", "table", "--n", n, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"ValueError: dimension {n} exceeds the kernel-table cap 4096\n")
+
+    def test_table_kernel_row_at_the_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--n", "4095", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["one_column"][-1] == 2 * 16 ** 512
+
     def test_table_characters(self, capsys):
         _, out, _ = run_cli(capsys, "table", "--group", "q8")
         assert "tau: 2, -2, 0, 0, 0" in out
@@ -418,6 +429,43 @@ class TestConfig:
         monkeypatch.setenv("ETAKIT_CONFIG", str(path))
         cfg = load_config(None)
         assert cfg.degree_bound == 16
+
+    EXT = {"generators": [["e", 1], ["w", 2]], "relations": ["e^2"]}
+
+    @pytest.mark.parametrize("config,error", [
+        ({"algebras": []}, "ValidationError: 'algebras' must be an object"),
+        ([1, 2], "ValidationError: the configuration must be an object"),
+        ({"algebras": {"ext": {"generators": [["e"]]}}},
+         "ValidationError: algebra 'ext': generator ['e'] is not a [name, degree] pair"),
+        ({"tables": {"t": {"group": "c2", "irreducibles": [{"name": "r0", "values": 5}]}}},
+         "ValidationError: irreducible row 0: 'values' must be an array"),
+        ({"degree_bound": [64]}, "ValidationError: degree_bound must be an integer"),
+        ({"algebras": {"ext": {"generators": [["e", 1.9]]}}},
+         "ValidationError: algebra 'ext': the degree of 'e' must be an integer"),
+        ({"algebras": {"ext": {**EXT, "steenrod": {"w": {"1": 1.5}}}}},
+         "ValidationError: algebra 'ext': Sq^1(w) must be a string or an integer"),
+        ({"algebras": {"ext": {**EXT, "steenrod": {"w": {"1": "0", "7": "w^4"}}}}},
+         "InconsistentSteenrodDataError: Sq^7(w) must be 0 above the degree 2"),
+        ({"algebras": {"ext": {**EXT, "steenrod": {"w": {"1": "0", "-1": "0"}}}}},
+         "InconsistentSteenrodDataError: Sq^-1(w) needs i >= 0"),
+    ], ids=["algebras-array", "top-level-array", "generator-without-degree",
+            "values-not-array", "degree-bound-array", "degree-float", "square-not-string",
+            "square-above-degree", "square-negative-index"])
+    def test_malformed_shape_is_a_typed_error(self, tmp_path, config, error):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        proc = run_module("-m", "etakit.cli", "--config", str(path), "sq",
+                          "--algebra", "custom:ext", "--i", "1", "--expr", "w", timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error + "\n")
+        assert "Traceback" not in proc.stderr
+
+    def test_zero_square_above_the_degree_accepted(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algebras": {"ext": {
+            **self.EXT, "steenrod": {"w": {"1": "0", "7": "0"}}}}}))
+        code, out, _ = run_cli(capsys, "--config", str(path), "sq",
+                               "--algebra", "custom:ext", "--i", "2", "--expr", "w")
+        assert (code, out) == (0, "w^2\n")
 
     def test_custom_steenrod_and_table(self, capsys, tmp_path):
         t = character_table("c2")

@@ -19,8 +19,7 @@ from etakit.f2ring import (PACKED_DEGREE_LIMIT, DegeneratePairingError,
                            klein_cohomology, lens_space_cohomology,
                            sd_to_circle_bundle, sd_to_d8_restriction,
                            semidihedral_cohomology, semidihedral_steenrod,
-                           sq1_branch_data, sq1_branch_enumerate, stiefel_whitney,
-                           wu_classes)
+                           sq1_branch_data, stiefel_whitney, wu_classes)
 from oracles import (NonConfluentPresentationError, brute_quotient_dimension,
                      free_monomials, free_product, in_relation_ideal,
                      validate_dimensions)
@@ -199,12 +198,13 @@ class TestNormalFormCache:
                     assert alg._nf_cache[m] == want
                     assert alg._reduce_monomial(m) == want
 
-    def test_parsing_before_completion_caches_nothing(self):
-        # relation and top-monomial strings are parsed while no rule exists
+    def test_parsing_before_completion_leaves_no_stale_entry(self):
+        # relation strings are parsed while no rule exists, which caches s*t
+        # as normal; the cache is emptied once the rules are final
         alg = circle_bundle_cohomology(4)
-        assert alg._nf_cache == {}
+        assert all(nf == alg._reduce_poly({m}) for m, nf in alg._nf_cache.items())
         assert str(alg.parse("s*t")) == "t^2"
-        assert alg._nf_cache
+        assert alg._nf_cache[alg._pack((1, 1, 0))] == alg._reduce_poly({alg._pack((0, 2, 0))})
 
     def test_bound_guard_on_every_call(self):
         alg = semidihedral_cohomology(degree_bound=4)
@@ -393,12 +393,19 @@ def reference_apply_monomial(hom, m):
     return out
 
 
+def generator_squares(data, gi):
+    """[Sq^0(g), ..., Sq^deg(g)] for the generator g of index gi."""
+    alg = data.algebra
+    gen = alg.gen(alg.gen_names[gi])
+    return [data.sq(i, gen) for i in range(alg.gen_degrees[gi] + 1)]
+
+
 def reference_monomial_series(data, m):
     """[Sq^0(m), Sq^1(m), ...]: one convolution of square series per factor."""
     alg = data.algebra
     series = [alg.one]
     for gi, e in enumerate(m):
-        row = data._series[gi]
+        row = generator_squares(data, gi)
         for _ in range(e):
             out = [alg.zero] * (len(series) + len(row) - 1)
             for i, a in enumerate(series):
@@ -429,7 +436,7 @@ def monomial_maps():
 def steenrod_data():
     m16 = circle_bundle_cohomology(8)
     return {"sd": semidihedral_steenrod(semidihedral_cohomology()),
-            "m16": circle_bundle_steenrod(m16, sq1_branch_enumerate(m16)[0])}
+            "m16": sq1_branch_data(m16)[0][1]}
 
 
 def draw_monomial(data, algebra, max_degree):
@@ -597,8 +604,8 @@ class TestProductOracle:
         # Sq(m) is the product of the total squares of its generators, of
         # mixed degree: each degree is checked on its own
         free = {(0,) * len(alg.gen_names)}
-        for row, e in zip(steenrod._series, m):
-            total = set().union(*(v.monomials for v in row))
+        for gi, e in enumerate(m):
+            total = set().union(*(v.monomials for v in generator_squares(steenrod, gi)))
             for _ in range(e):
                 free = free_product(free, total)
         got = steenrod._total_square(alg._pack(m))
@@ -653,6 +660,92 @@ class TestSteenrod:
             SteenrodData(sd, {("u", 1): 0, ("P", 1): 0, ("P", 2): "u^2",
                               ("P", 3): 0})
 
+    SD_SQUARES = {("u", 1): 0, ("u", 2): "y^2*u + y*P + x*P",
+                  ("P", 1): 0, ("P", 2): "u^2", ("P", 3): 0}
+
+    @pytest.mark.parametrize("key", [("x", 2), ("x", 5), ("P", 9)])
+    def test_zero_above_the_degree_accepted(self, sd, key):
+        data = SteenrodData(sd, {**self.SD_SQUARES, key: "0"})
+        assert data.sq(key[1], sd.gen(key[0])) == sd.zero
+        assert data.sq(2, "P") == semidihedral_steenrod(sd).sq(2, "P")
+
+    @pytest.mark.parametrize("key,value", [(("x", 2), "x^3 + y^3"), (("x", 5), "y^6"),
+                                           (("P", 9), 1)])
+    def test_nonzero_above_the_degree_refused(self, sd, key, value):
+        with pytest.raises(InconsistentSteenrodDataError, match="must be 0 above"):
+            SteenrodData(sd, {**self.SD_SQUARES, key: value})
+
+    @pytest.mark.parametrize("value", ["x^2", "0", 0])
+    def test_negative_index_refused(self, sd, value):
+        with pytest.raises(InconsistentSteenrodDataError, match="needs i >= 0"):
+            SteenrodData(sd, {**self.SD_SQUARES, ("x", -1): value})
+
+    @pytest.mark.parametrize("key,value", [(("x", 0), "x"), (("u", 0), "u"),
+                                           (("x", 1), "x^2"), (("u", 3), "u^2")])
+    def test_forced_value_accepted(self, sd, key, value):
+        data = SteenrodData(sd, {**self.SD_SQUARES, key: value})
+        assert data.sq(key[1], key[0]) == sd.parse(value)
+
+    @pytest.mark.parametrize("key,value", [(("x", 0), "y"), (("x", 1), "y^2"),
+                                           (("u", 3), 0)])
+    def test_forced_value_contradicted(self, sd, key, value):
+        with pytest.raises(InconsistentSteenrodDataError, match="forced"):
+            SteenrodData(sd, {**self.SD_SQUARES, key: value})
+
+    def test_unknown_generator_refused(self, sd):
+        with pytest.raises(InconsistentSteenrodDataError, match="unknown generator 'q'"):
+            SteenrodData(sd, {**self.SD_SQUARES, ("q", 1): 0})
+
+
+class TestOutsideValues:
+    """`normal_form` is the one entry for values from outside the module."""
+
+    def test_integers_read_mod_2(self, sd):
+        assert sd.normal_form(0) == sd.zero
+        assert sd.normal_form(1) == sd.one
+        assert sd.normal_form(3) == sd.parse("3") == sd.one
+
+    def test_every_kind_of_value(self, sd):
+        want = sd.parse("x^2")
+        for value in ("x*y", want, [(1, 1, 0, 0)], [(2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)]):
+            assert sd.normal_form(value) == want
+
+    def test_top_class_read_after_completion(self):
+        gens, rels = [("s", 1), ("t", 1), ("Z", 2)], ["s^2", "s*t + t^2", "Z^4"]
+        want = circle_bundle_cohomology(4).poincare
+        for top in ["t^2*Z^3", "s*t*Z^3", (0, 2, 3)]:
+            assert PresentedF2Algebra("m8", gens, rels, poincare=(8, top)).poincare == want
+        for top in ["t^2*Z^3 + t", "t^2*Z^3 + s*t*Z^3", "t*Z^3", (0, 1, 3)]:
+            with pytest.raises(ValueError, match="not spanned by the designated top"):
+                PresentedF2Algebra("m8", gens, rels, poincare=(8, top))
+
+    def test_foreign_element_refused_by_sq(self, d8):
+        m16 = circle_bundle_cohomology(8)
+        data = circle_bundle_steenrod(m16, "Z*s")
+        with pytest.raises(ValueError, match="different algebra"):
+            data.sq(1, d8.parse("b*d"))
+        assert data.sq(1, "Z") == m16.parse("Z*s")
+
+    def test_foreign_element_refused_by_pairing(self, d8, m8):
+        with pytest.raises(ValueError, match="different algebra"):
+            m8.pairing(d8.parse("a^6*d"))
+        assert m8.pairing("t^2*Z^3") == m8.pairing(m8.parse("s*t*Z^3")) == 1
+
+    def test_foreign_element_refused_by_hom_images(self, sd, d8, v2):
+        # v2 has no relation whose check would multiply the foreign image
+        with pytest.raises(ValueError, match="element belongs to a different algebra"):
+            GradedHom(v2, d8, {"p": sd.parse("x"), "q": "a"})
+        hom = GradedHom(d8, v2, {"a": v2.parse("p"), "b": 0, "d": "q*(p + q)"})
+        assert hom.images == d8_to_v2_restriction(d8, v2).images
+
+    def test_foreign_element_refused_by_hom_call(self, sd, d8, v2):
+        hom = d8_to_v2_restriction(d8, v2)
+        with pytest.raises(ValueError, match="different algebra"):
+            hom(sd.parse("y"))
+        with pytest.raises(ValueError, match="different algebra"):
+            hom(v2.parse("p"))
+        assert hom("a*d") == hom(d8.parse("a*d")) == v2.parse("p^2*q + p*q^2")
+
 
 class TestWuAndStiefelWhitney:
     def test_spin_branch(self, m8):
@@ -691,17 +784,17 @@ class TestBranchEnumeration:
     @pytest.mark.parametrize("n", [4, 8])
     def test_two_branches(self, n):
         alg = circle_bundle_cohomology(n)
-        branches = sq1_branch_enumerate(alg)
+        branches = [c for c, _ in sq1_branch_data(alg)]
         assert [str(b) for b in branches] == ["s*Z", "s*Z + t*Z"]
 
     def test_branch_data(self, m8):
         pairs = sq1_branch_data(m8)
-        assert [c for c, _ in pairs] == sq1_branch_enumerate(m8)
         assert all(data.sq(1, m8.parse("Z")) == c for c, data in pairs)
 
     def test_w1_filter(self, m8):
-        assert [str(b) for b in sq1_branch_enumerate(m8, require_w1_zero=True)] \
-            == ["s*Z"]
+        # the orientation obstruction w_1 = v_1 vanishes on one branch only
+        assert [str(c) for c, data in sq1_branch_data(m8)
+                if wu_classes(m8, data)[1].is_zero()] == ["s*Z"]
 
 
 class TestPullbackScenario:

@@ -6,7 +6,8 @@ import pytest
 
 from etakit import f2ring, glrverify
 from etakit.exactnum import CyclotomicNumber, inverse_one_minus_root
-from etakit.glrverify import (SPAN_DEGREE_CAP, SUITES, _sd16_fixture,
+from etakit.glrverify import (KERAP_DIMENSION_CAP, SPAN_DEGREE_CAP, SUITES,
+                              _KERAP_EXPLICIT, _sd16_fixture,
                               _span_algebras, free_quotients, kerap_lookup,
                               klein_psc_generators, normalized_entry,
                               quaternion_certificate_matrix, run_report,
@@ -49,6 +50,26 @@ class TestKerApTable:
     def test_even_dimension_rejected(self):
         with pytest.raises(ValueError):
             table_ko_order(8)
+
+    # the rows below 16 that the closed form gives, as they were tabulated
+    CLOSED_FORM_ROWS = {
+        2: ((), 0), 4: ((), 1), 5: ((2,), 0), 6: ((), 0),
+        7: ((2, 4, 16, 32), 0), 10: ((), 1), 11: ((8, 16, 128, 128), 0),
+        12: ((), 2), 13: ((4,), 0), 14: ((), 1), 15: ((2, 8, 16, 256, 512), 0),
+    }
+
+    def test_closed_form_reproduces_the_tabulated_rows(self):
+        assert set(_KERAP_EXPLICIT) == {0, 1, 3, 8, 9}
+        assert set(self.CLOSED_FORM_ROWS) | set(_KERAP_EXPLICIT) == set(range(16))
+        for n, row in self.CLOSED_FORM_ROWS.items():
+            assert kerap_lookup(n) == row
+
+    @pytest.mark.parametrize("n", [KERAP_DIMENSION_CAP + 1, 80000003,
+                                   100000000000000000003])
+    def test_dimension_cap(self, n):
+        assert KERAP_DIMENSION_CAP >= 263  # the largest dimension a claim reads
+        with pytest.raises(ValueError, match="exceeds the kernel-table cap 4096"):
+            kerap_lookup(n)
 
 
 def counted(calls, name, fn):
