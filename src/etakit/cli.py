@@ -214,10 +214,10 @@ def _cmd_eta(args, cfg: Config) -> int:
         spec = ManifoldSpec(lens=LensSpec(args.l, _parse_int_tuple(args.a), kind, chern))
         if rho.dim != 0:  # a lens-space order needs a reduced character
             raise ValueError("lens-space eta requires a virtual dimension zero character")
-    value = eta_of(spec, rho)
     if args.float:
         print(f"{eta_of_float(spec, rho):.12g}")
         return 0
+    value = eta_of(spec, rho)
     if args.mod == "z":
         modulus = Modulus.Z
     elif args.mod == "2z":

@@ -101,12 +101,14 @@ class LensSpec:
         object.__setattr__(self, "a", tuple(int(x) for x in self.a))
         if self.kind not in ("sphere", "bundle"):
             raise ValueError("kind must be 'sphere' or 'bundle'")
-        cyclic_free_rep(self.l, self.a)  # the free-action rules
-        if self.kind == "bundle":
-            chern = self.chern if self.chern is not None else (2,) + (0,) * (len(self.a) - 1)
-            object.__setattr__(self, "chern", tuple(int(c) for c in chern))
-            if len(self.chern) != len(self.a):
-                raise ValueError("chern data must match the weight tuple")
+        bundle = self.kind == "bundle"
+        if bundle and self.chern is None:
+            object.__setattr__(self, "chern", (2,) + (0,) * (len(self.a) - 1))
+        # the free-action rules, checked on the representation `eta_of`
+        # reads; weight errors come before chern errors
+        tau = cyclic_free_rep(self.l, self.a, self.chern if bundle else None)
+        if bundle:
+            object.__setattr__(self, "chern", tau.chern)
         elif self.chern is not None:
             raise ValueError("sphere-kind lens spaces carry no chern data")
 

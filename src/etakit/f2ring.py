@@ -10,10 +10,17 @@ is a guard, and the fields are laid out in `precedence` order under a top
 field that holds the degree.  So a monomial product is one integer
 addition, the integer order is the monomial order, and a rule lead
 divides m exactly when ((m + G - lead) & G) == G for the guard mask G.
-Exponent tuples are the public form: the element constructor,
-`.monomials`, `graded_basis`, `normal_form` of raw monomials and
-`dual_pushforward_map` take or return tuples, and a degree the fields
-cannot hold is refused with `DegreeBoundExceededError`.
+The relations, the cached graded bases and the top class are held packed
+as well, and a degree the fields cannot hold is refused with
+`DegreeBoundExceededError`.
+
+Exponent tuples are the public form and appear only at the module's edge.
+They enter, like every value from outside (strings, integers read mod 2,
+elements), through `PresentedF2Algebra.normal_form`, which refuses an
+element of another algebra, and through the `F2AlgebraElement`
+constructor, which calls it.  They leave through `.monomials`,
+`graded_basis`, `dual_pushforward_map`, `raw_relations`, `poincare`,
+formatting and error messages.
 
 Normal forms come from a rewriting system completed by degree-bounded
 Buchberger S-polynomial resolution; because all the ideals here are
@@ -27,21 +34,18 @@ and frozen once, so a product costs time linear in its result; powers
 square by Frobenius, and a product that would form more than
 `PRODUCT_TERM_CAP` monomial pairs is refused.
 
-Values from outside the module (strings, integers read mod 2, raw
-exponent tuples, elements) enter through `PresentedF2Algebra.normal_form`,
-which refuses an element of another algebra.
-
 Homomorphisms and the total Steenrod square Sq = Sq^0 + Sq^1 + ... are
 both multiplicative maps on monomials: `_monomial_value` builds the value
 of a new monomial from the cached value of its predecessor with one
-product.  Sq^i(m) is the part of the total square of m in degree
-deg(m) + i.
+product, and `_image` sums such values over a polynomial.  Sq^i(m) is the
+part of the total square of m in degree deg(m) + i.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import struct
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .infix import parse_infix
@@ -56,7 +60,6 @@ PRODUCT_TERM_CAP = 1 << 17
 # carries into the next and every guard bit of a stored monomial is clear
 EXPONENT_BITS = 32
 PACKED_DEGREE_LIMIT = 1 << (EXPONENT_BITS - 1)
-_FIELD_MASK = (1 << EXPONENT_BITS) - 1
 
 
 class F2ParseError(ValueError):
@@ -123,15 +126,15 @@ def gf2_solve_unique(rows: Sequence[int], rhs: Sequence[int], width: int) -> int
 
 
 class F2AlgebraElement:
-    """A normal-form sum of monomials of a fixed presented algebra.  It is
-    built from exponent tuples and holds them packed; `monomials` decodes
-    them."""
+    """A normal-form sum of monomials of a fixed presented algebra, held
+    packed; `monomials` decodes them.  The constructor reduces exponent
+    tuples (or any value) through `algebra.normal_form`."""
 
     __slots__ = ("algebra", "_packed")
 
     def __init__(self, algebra: "PresentedF2Algebra", monomials: Iterable[Monomial]):
         _set_algebra(self, algebra)
-        _set_packed(self, frozenset(map(algebra._pack, monomials)))
+        _set_packed(self, algebra.normal_form(monomials)._packed)
 
     def __setattr__(self, *args):
         raise AttributeError("F2AlgebraElement is immutable")
@@ -268,7 +271,10 @@ class PresentedF2Algebra:
         shifts = [0] * r
         for k, i in enumerate(self._field_gen):
             shifts[i] = k * EXPONENT_BITS
-        self._shifts = tuple(shifts)
+        # _unpack reads all fields at once (32 = EXPONENT_BITS) in generator order
+        self._read_fields = struct.Struct(f"<{r + 1}I").unpack
+        self._gen_fields = (operator.itemgetter(*(s // EXPONENT_BITS for s in shifts))
+                            if r > 1 else operator.itemgetter(slice(0, r)))
         self._deg_shift = r * EXPONENT_BITS
         self._units = tuple((1 << s) + (d << self._deg_shift)
                             for s, d in zip(shifts, self.gen_degrees))
@@ -283,26 +289,27 @@ class PresentedF2Algebra:
         self._truncated = False
         # normal form of each raw monomial; emptied once the rules are final
         self._nf_cache: dict[int, frozenset] = {}
-        self.raw_relations = tuple(self.normal_form(r).monomials for r in relations)
+        # the relations packed once; raw_relations is their public tuple form
+        self._relations = tuple(self.normal_form(r)._packed for r in relations)
+        self.raw_relations = tuple(frozenset(map(self._unpack, r)) for r in self._relations)
         for r in self.raw_relations:
-            degs = {self.monomial_degree(m) for m in r}
-            if len(degs) != 1:
+            if len({self.monomial_degree(m) for m in r}) != 1:
                 raise ValueError(f"relation {sorted(r)} is not homogeneous")
         self._complete_rewriting_system()
         if self._truncated:
             self._raw_limit = min(self._raw_limit, (degree_bound + 1) << self._deg_shift)
         self._nf_cache = {}
-        self._basis_cache: dict[int, list[Monomial]] = {}
+        self._basis_cache: dict[int, list[int]] = {}
         self.poincare: Optional[tuple[int, Monomial]] = None
         if poincare is not None:
             dim, top = poincare
-            basis = self.graded_basis(dim)
-            top_mons = self.normal_form(top if isinstance(top, str) else [top]).monomials
+            basis = self._basis(dim)
+            top_mons = self.normal_form(top if isinstance(top, str) else [top])._packed
             if len(basis) != 1 or set(basis) != top_mons:
                 raise ValueError(f"degree {dim} is not spanned by the designated "
-                                 f"top monomial alone: basis {basis}")
-            self.poincare = (dim, basis[0])
-            self._top_monomial = self._pack(basis[0])
+                                 f"top monomial alone: basis {self.graded_basis(dim)}")
+            self._top_monomial = basis[0]
+            self.poincare = (dim, self._unpack(basis[0]))
 
     # -- presentation plumbing ------------------------------------------------
 
@@ -320,15 +327,9 @@ class PresentedF2Algebra:
             raise self._degree_error(self.monomial_degree(m))
         return p
 
-    def _pack_basis(self, n: int) -> list[int]:
-        """The packed monomials of `graded_basis(n)`, in its order; they are
-        normal forms already, so they need no check."""
-        units = self._units
-        return [sum(map(operator.mul, m, units)) for m in self._basis(n)]
-
     def _unpack(self, p: int) -> Monomial:
         """The exponent tuple of a packed monomial."""
-        return tuple([(p >> s) & _FIELD_MASK for s in self._shifts])
+        return self._gen_fields(self._read_fields(p.to_bytes(4 * len(self._units) + 4, "little")))
 
     def _divides(self, lead: int, m: int) -> bool:
         """Whether lead divides m: no field of m - lead borrows from its
@@ -354,10 +355,9 @@ class PresentedF2Algebra:
         tick = itertools.count()
         heap: list = []
         shift = self._deg_shift
-        for r in self.raw_relations:
+        for r in self._relations:
             if r:
-                poly = frozenset(map(self._pack, r))
-                heapq.heappush(heap, (max(poly) >> shift, next(tick), poly))
+                heapq.heappush(heap, (max(r) >> shift, next(tick), r))
         while heap:
             _, _, poly = heapq.heappop(heap)
             reduced = self._reduce_poly(poly)
@@ -486,11 +486,11 @@ class PresentedF2Algebra:
         larger one are divisible.  The last exponent is forced by the
         degree, so it is tested once.  Only degree n is listed; no lower
         degree is built or cached on the way."""
-        return list(self._basis(n))
+        return list(map(self._unpack, self._basis(n)))
 
-    def _basis(self, n: int) -> list[Monomial]:
-        """The cached list behind `graded_basis(n)`; the caller must not
-        change it."""
+    def _basis(self, n: int) -> list[int]:
+        """The cached packed monomials behind `graded_basis(n)`, in its
+        order; the caller must not change the list."""
         if n < 0:
             return []
         if n > self.degree_bound:
@@ -499,11 +499,11 @@ class PresentedF2Algebra:
             raise self._degree_error(n)
         out = self._basis_cache.get(n)
         if out is None:
-            # the walk lists the exponent tuples in ascending order
+            # the walk lists the monomials in ascending order of their tuples
             out = self._basis_cache[n] = self._normal_monomials(n)[::-1]
         return out
 
-    def _normal_monomials(self, n: int) -> list[Monomial]:
+    def _normal_monomials(self, n: int) -> list[int]:
         degs, units, g = self.gen_degrees, self._units, self._guards
         last = len(degs) - 1
         # each lead as (rest, e): e is the exponent of its last generator,
@@ -518,10 +518,9 @@ class PresentedF2Algebra:
             j = support[-1]
             closing[j].append((lead - exps[j] * units[j], exps[j]))
         if last < 0:
-            return [()] if n == 0 else []
-        prefix = [0] * len(degs)
-        out: list[Monomial] = []
-        last_step, last_closing = degs[last], closing[last]
+            return [0] if n == 0 else []
+        out: list[int] = []
+        last_step, last_unit, last_closing = degs[last], units[last], closing[last]
 
         def cap_at(i: int, cap: int, acc: int) -> int:
             """Lower `cap` to the least exponent of generator i that makes
@@ -537,22 +536,17 @@ class PresentedF2Algebra:
             cap = cap_at(i, remaining // step + 1, acc)
             if i + 1 < last:
                 for e in range(cap):
-                    prefix[i] = e
                     walk(i + 1, remaining - e * step, acc + e * unit)
             else:
                 # the last exponent is forced by the degree: test it once
                 for e in range(cap):
                     f, r = divmod(remaining - e * step, last_step)
-                    if not r:
-                        prefix[i] = e
-                        if not last_closing or f < cap_at(last, f + 1, acc + e * unit):
-                            prefix[last] = f
-                            out.append(tuple(prefix))
-            prefix[i] = 0
+                    if not r and (not last_closing or f < cap_at(last, f + 1, acc + e * unit)):
+                        out.append(acc + e * unit + f * last_unit)
 
         if last == 0:
             f, r = divmod(n, last_step)
-            return [(f,)] if not r and f < cap_at(0, f + 1, 0) else []
+            return [f * last_unit] if not r and f < cap_at(0, f + 1, 0) else []
         walk(0, n, 0)
         return out
 
@@ -615,6 +609,14 @@ def _monomial_value(m: int, cache: dict, generator_values: Sequence,
     return value
 
 
+def _image(value, mons: Iterable[int]) -> set[int]:
+    """The packed sum of value(m), a multiplicative map's value, over mons."""
+    out: set[int] = set()
+    for m in mons:
+        out.symmetric_difference_update(value(m)._packed)
+    return out
+
+
 class GradedHom:
     """Degree-preserving algebra map given by generator images; every
     source relation is checked to map to zero at construction."""
@@ -634,23 +636,17 @@ class GradedHom:
                 raise ValueError(f"image of {gname} must be homogeneous of degree {gdeg}")
             self.images.append(img)
         self._monomial_cache = {0: target.one}
-        for rel in source.raw_relations:
-            total: set[int] = set()
-            for m in rel:
-                total.symmetric_difference_update(
-                    self._apply_monomial(source._pack(m))._packed)
-            if total:
-                raise ValueError(f"relation {sorted(rel)} does not map to zero "
-                                 f"under {self.name}")
+        for rel in source._relations:
+            if _image(self._apply_monomial, rel):
+                raise ValueError(f"relation {sorted(map(source._unpack, rel))} does not "
+                                 f"map to zero under {self.name}")
 
     def _apply_monomial(self, m: int) -> F2AlgebraElement:
         return _monomial_value(m, self._monomial_cache, self.images, self.source)
 
     def __call__(self, e: Union[str, F2AlgebraElement]) -> F2AlgebraElement:
-        out: set[int] = set()
-        for m in self.source.normal_form(e)._packed:
-            out.symmetric_difference_update(self._apply_monomial(m)._packed)
-        return _element(self.target, frozenset(out))
+        return _element(self.target, frozenset(
+            _image(self._apply_monomial, self.source.normal_form(e)._packed)))
 
     def __repr__(self) -> str:
         return f"GradedHom({self.name})"
@@ -661,12 +657,12 @@ def dual_pushforward_map(f: GradedHom, n: int) -> dict[Monomial, frozenset]:
     t, in target.graded_basis(n) order, maps to the set of source monomials
     of degree n whose image contains t.  Applied to the dual class of t it
     yields the sum of the dual classes of that set."""
-    targets = f.target._basis(n)
-    support: dict[int, list] = {t: [] for t in f.target._pack_basis(n)}
-    for s, p in zip(f.source._basis(n), f.source._pack_basis(n)):
-        for t in f._apply_monomial(p)._packed:
-            support[t].append(s)
-    return {t: frozenset(mons) for t, mons in zip(targets, support.values())}
+    support: dict[int, list] = {t: [] for t in f.target._basis(n)}
+    for s in f.source._basis(n):
+        mon = f.source._unpack(s)
+        for t in f._apply_monomial(s)._packed:
+            support[t].append(mon)
+    return {f.target._unpack(t): frozenset(mons) for t, mons in support.items()}
 
 
 # -- Steenrod squares ---------------------------------------------------------------
@@ -692,6 +688,8 @@ class SteenrodData:
         for (g, i), value in (sq_on_generators or {}).items():
             if g not in degrees:
                 raise InconsistentSteenrodDataError(f"unknown generator {g!r} in data")
+            if not isinstance(i, int):
+                raise InconsistentSteenrodDataError(f"Sq^{i!r}({g}) needs an integer index")
             if i < 0:
                 raise InconsistentSteenrodDataError(f"Sq^{i}({g}) needs i >= 0")
             d, value = degrees[g], algebra.normal_form(value)
@@ -725,16 +723,14 @@ class SteenrodData:
     def _validate_relations(self) -> None:
         alg = self.algebra
         shift = alg._deg_shift
-        for rel in alg.raw_relations:
-            total: set[int] = set()
-            for m in rel:
-                total.symmetric_difference_update(self._total_square(alg._pack(m))._packed)
+        for rel in alg._relations:
+            total = _image(self._total_square, rel)
             if total:
-                d = alg.monomial_degree(next(iter(rel)))
+                d = next(iter(rel)) >> shift
                 low = min(total) >> shift
                 val = _element(alg, frozenset(t for t in total if t >> shift == low))
                 raise InconsistentSteenrodDataError(
-                    f"Sq^{low - d} of relation {sorted(rel)} is {val}, not 0")
+                    f"Sq^{low - d} of relation {sorted(map(alg._unpack, rel))} is {val}, not 0")
 
     def sq(self, i: int, e: Union[str, F2AlgebraElement]) -> F2AlgebraElement:
         if i < 0:
@@ -769,8 +765,8 @@ def wu_classes(algebra: PresentedF2Algebra, steenrod: SteenrodData) -> list[F2Al
     top = algebra._top_monomial
     out = []
     for j in range(d // 2 + 1):
-        basis_j = algebra._pack_basis(j)
-        basis_c = algebra._pack_basis(d - j)
+        basis_j = algebra._basis(j)
+        basis_c = algebra._basis(d - j)
         if len(basis_j) != len(basis_c):
             raise DegeneratePairingError(
                 f"degrees {j} and {d - j} have different ranks")
@@ -797,13 +793,9 @@ def stiefel_whitney(algebra: PresentedF2Algebra, steenrod: SteenrodData,
     acts on, so that total square lives in degrees 0 .. d.  `wu` passes
     the Wu classes when the caller has them already."""
     v = wu_classes(algebra, steenrod) if wu is None else wu
-    total: set[int] = set()
-    for vj in v:
-        for m in vj._packed:
-            total.symmetric_difference_update(steenrod._total_square(m)._packed)
     parts: list[set[int]] = [set() for _ in range(algebra.poincare[0] + 1)]
     shift = algebra._deg_shift
-    for t in total:
+    for t in _image(steenrod._total_square, [m for vj in v for m in vj._packed]):
         parts[t >> shift].add(t)
     return [_element(algebra, frozenset(p)) for p in parts]
 
@@ -906,10 +898,9 @@ def sq1_branch_data(m: PresentedF2Algebra) -> list[tuple[F2AlgebraElement, Steen
         raise ValueError("expected the total-space algebra of dimension 8k")
     u_image = m.parse("Z*(t + s)")
     admissible = []
-    basis3 = m.graded_basis(3)
+    basis3 = m._basis(3)
     for bits in range(1 << len(basis3)):
-        mons = frozenset(mon for i, mon in enumerate(basis3) if bits >> i & 1)
-        candidate = F2AlgebraElement(m, mons)
+        candidate = _element(m, frozenset(p for i, p in enumerate(basis3) if bits >> i & 1))
         try:
             data = circle_bundle_steenrod(m, candidate)
         except InconsistentSteenrodDataError:

@@ -725,8 +725,8 @@ QUATERNION_K_CAP = 1024
 def cyclic_free_rep(l: int, a: Sequence[int],
                     chern: Optional[Sequence[int]] = None) -> FreeUnitaryRep:
     """The C_l representation sum of rho_{a_j}, with the free-action rules
-    of a lens space S^(2n-1)/C_l: an even number of weights, at most
-    `LENS_WEIGHT_CAP`, every weight odd and coprime to l.  The square root
+    of a lens space S^(2n-1)/C_l: a nonempty even number of weights, at
+    most `LENS_WEIGHT_CAP`, every weight odd and coprime to l.  The square root
     of the determinant is rho_{(sum a_j)/2}; sum a_j is even, so it exists
     for every l.
 
@@ -734,6 +734,8 @@ def cyclic_free_rep(l: int, a: Sequence[int],
     (see `FreeUnitaryRep`).  Each (l, a, chern) is built once.
     """
     a = tuple(int(x) for x in a)
+    if not a:
+        raise ValidationError("the weight tuple must not be empty")
     if len(a) > LENS_WEIGHT_CAP:
         raise ValidationError(f"{len(a)} weights exceed the cap {LENS_WEIGHT_CAP}")
     if len(a) % 2 != 0:
@@ -743,7 +745,10 @@ def cyclic_free_rep(l: int, a: Sequence[int],
     if any(math.gcd(x, l) != 1 for x in a):
         raise NotFreeError(f"every weight must be coprime to l = {l} "
                            f"for a free action")
-    return _cyclic_free_rep(l, a, None if chern is None else tuple(int(c) for c in chern))
+    chern = None if chern is None else tuple(int(c) for c in chern)
+    if chern is not None and len(chern) != len(a):
+        raise ValueError("chern data must match the weight tuple")
+    return _cyclic_free_rep(l, a, chern)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Claim suites run past the sizes of `etakit verify --suite all`.
+"""Claim suites run past the sizes of `etakit verify --suite all`, at the
+caps of `etakit.glrverify`: SPAN_DEGREE_CAP = 256 and M_MAX_CAP = 32.
 
     PYTHONPATH=src python tests/far_sweep.py spans        # prop51 + prop53 at n = 256
     PYTHONPATH=src python tests/far_sweep.py total-space  # prop41 at n = 4, 8, ..., 128
@@ -12,13 +13,15 @@ sweep name.
 import sys
 import time
 
-from etakit.glrverify import (verify_prop41, verify_prop51, verify_prop53,
-                              verify_q8_orders, verify_sd16_odd)
+from etakit.glrverify import (M_MAX_CAP, SPAN_DEGREE_CAP, verify_prop41,
+                              verify_prop51, verify_prop53, verify_q8_orders,
+                              verify_sd16_odd)
 
 SWEEPS = {
-    "spans": lambda: verify_prop51(256) + verify_prop53(256),
-    "total-space": lambda: [c for n in range(4, 129, 4) for c in verify_prop41(n)],
-    "orders": lambda: verify_q8_orders(32) + verify_sd16_odd(32),
+    "spans": lambda: verify_prop51(SPAN_DEGREE_CAP) + verify_prop53(SPAN_DEGREE_CAP),
+    "total-space": lambda: [c for n in range(4, SPAN_DEGREE_CAP // 2 + 1, 4)
+                            for c in verify_prop41(n)],
+    "orders": lambda: verify_q8_orders(M_MAX_CAP) + verify_sd16_odd(M_MAX_CAP),
 }
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from etakit import cli
 from etakit.cli import ParseError, load_config, main, parse_character
 from etakit.grouprep import character_table
 
@@ -114,6 +115,17 @@ class TestEtaCommand:
                             "--rho", "r0-r1", "--float")
         assert abs(float(out) + 0.875) < 1e-9
 
+    def test_float_evaluates_only_the_float_mirror(self, capsys, monkeypatch):
+        def exact(*args):
+            raise AssertionError("--float evaluated the exact sum")
+
+        monkeypatch.setattr(cli, "eta_of", exact)
+        for engine, flags in (("bundle", ("--l", "8", "--a", "1,1", "--rho", "r0-r1")),
+                              ("quaternion", ("--k", "0", "--rho", "2-tau"))):
+            code, out, err = run_cli(capsys, "eta", engine, *flags, "--float")
+            assert (code, err) == (0, "")
+            assert abs(float(out) - {"bundle": -0.875, "quaternion": 0.875}[engine]) < 1e-9
+
     def test_json_matches_text_content(self, capsys):
         _, text, _ = run_cli(capsys, "eta", "cyclic", "--l", "8", "--a", "1,1",
                              "--rho", "r0-r4")
@@ -147,6 +159,13 @@ class TestEtaCommand:
         assert run_cli(capsys, "eta", "cyclic", "--l", "64", "--a", ",".join(["1"] * 1024),
                        "--rho", "r0-r1") == (
             1, "", "ValidationError: 1024 weights exceed the cap 256\n")
+
+    @pytest.mark.parametrize("engine", ["cyclic", "bundle"])
+    def test_empty_weight_tuple(self, engine):
+        proc = run_module("-m", "etakit.cli", "eta", engine, "--l", "8", "--a", "",
+                          "--rho", "r1-r0", timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "ValidationError: the weight tuple must not be empty\n")
 
     @pytest.mark.parametrize("argv,error", [
         (("--k", "1", "--rho", "(2-tau)^100000"),

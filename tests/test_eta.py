@@ -14,9 +14,11 @@ from etakit.eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
                         recursion_check, span_order_lower_bound, thm31_modulus)
 from etakit.exactnum import (CyclotomicNumber, inverse_one_minus_root,
                              root_of_unity)
+from etakit import grouprep
 from etakit.glrverify import _sd16_fixture, free_quotients
 from etakit.grouprep import (FreeUnitaryRep, InclusionMap, NotFreeError,
-                             OddLengthError, VirtualCharacter, builtin_group,
+                             OddLengthError, ValidationError,
+                             VirtualCharacter, builtin_group,
                              character_table, cyclic_free_rep,
                              quaternion_free_rep, restrict_virtual)
 from oracles import donnelly_by_class
@@ -152,6 +154,32 @@ class TestLensValues:
             LensSpec(15, (1, 5), kind="bundle")
         with pytest.raises(OddLengthError):
             LensSpec(8, (1, 1, 5))
+
+    def test_empty_weight_tuple_refused(self):
+        for kind in ("sphere", "bundle"):
+            with pytest.raises(ValidationError, match="weight tuple must not be empty"):
+                LensSpec(8, (), kind)
+        with pytest.raises(ValidationError, match="weight tuple must not be empty"):
+            cyclic_free_rep(8, ())
+
+    def test_weight_errors_come_before_chern_errors(self):
+        with pytest.raises(NotFreeError):
+            LensSpec(8, (2, 1), "bundle", (1, 2, 3))
+        with pytest.raises(NotFreeError):
+            LensSpec(8, (2, 1), "sphere", (1, 2))
+        with pytest.raises(ValueError, match="chern data must match the weight tuple"):
+            LensSpec(8, (1, 1), "bundle", (1, 2, 3))
+        with pytest.raises(ValueError, match="sphere-kind lens spaces carry no chern data"):
+            LensSpec(8, (1, 1), "sphere", (1, 2))
+
+    def test_one_representation_per_bundle_spec(self):
+        # chern numbers no other test uses, so the spec builds a new representation
+        info = grouprep._cyclic_free_rep.cache_info
+        before = info().misses
+        spec = LensSpec(8, (1, 3, 5, 7), "bundle", ["6", 0, -4, 2])
+        assert spec.chern == (6, 0, -4, 2) and info().misses == before + 1
+        lens_eta(spec, c8_char(0, 1))
+        assert info().misses == before + 1
 
     @pytest.mark.parametrize("kind,chern", [("sphere", None), ("bundle", (1, -2, 0, 3))])
     def test_nonzero_dimension_is_the_donnelly_sum(self, kind, chern):

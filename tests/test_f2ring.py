@@ -233,6 +233,14 @@ class TestPackedMonomials:
         assert p1 + p2 == sd._pack(tuple(a + b for a, b in zip(m1, m2)))
         assert sd._divides(p1, p2) == all(a <= b for a, b in zip(m1, m2))
 
+    @pytest.mark.parametrize("degrees", [(), (2,), (1, 3), (1, 1, 3, 4)])
+    def test_unpack_at_every_generator_count(self, degrees):
+        alg = PresentedF2Algebra("w", [(f"g{i}", d) for i, d in enumerate(degrees)], [],
+                                 precedence=[f"g{i}" for i in range(len(degrees))][::-1])
+        for m in [(0,) * len(degrees), tuple(range(5, 5 + len(degrees)))]:
+            assert alg._unpack(alg._pack(m)) == m
+            assert m in alg.graded_basis(alg.monomial_degree(m))  # a free algebra
+
     def test_power_past_the_width(self, sd):
         top = PACKED_DEGREE_LIMIT - 1
         assert str(sd.parse("y") ** top) == f"y^{top}"
@@ -675,6 +683,11 @@ class TestSteenrod:
         with pytest.raises(InconsistentSteenrodDataError, match="must be 0 above"):
             SteenrodData(sd, {**self.SD_SQUARES, key: value})
 
+    @pytest.mark.parametrize("index", ["1", 1.5, None])
+    def test_non_integer_index_refused(self, sd, index):
+        with pytest.raises(InconsistentSteenrodDataError, match="needs an integer index"):
+            SteenrodData(sd, {**self.SD_SQUARES, ("u", index): 0})
+
     @pytest.mark.parametrize("value", ["x^2", "0", 0])
     def test_negative_index_refused(self, sd, value):
         with pytest.raises(InconsistentSteenrodDataError, match="needs i >= 0"):
@@ -709,6 +722,15 @@ class TestOutsideValues:
         want = sd.parse("x^2")
         for value in ("x*y", want, [(1, 1, 0, 0)], [(2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)]):
             assert sd.normal_form(value) == want
+
+    def test_constructor_reduces_tuples(self, sd):
+        # x*y rewrites to x^2 in sd
+        e = F2AlgebraElement(sd, {(1, 1, 0, 0)})
+        assert e == sd.parse("x^2") == sd.parse("x*y")
+        assert (str(e), e.monomials) == ("x^2", frozenset({(2, 0, 0, 0)}))
+        assert F2AlgebraElement(sd, [(1, 0, 0, 0), (1, 0, 0, 0)]).is_zero()
+        with pytest.raises(ValueError, match="different algebra"):
+            F2AlgebraElement(sd, klein_cohomology().parse("p"))
 
     def test_top_class_read_after_completion(self):
         gens, rels = [("s", 1), ("t", 1), ("Z", 2)], ["s^2", "s*t + t^2", "Z^4"]
