@@ -1,30 +1,43 @@
 """Exact eta invariants of spherical space forms and lens-space bundles.
 
-One engine evaluates every value: the Donnelly sum of `eta_donnelly` over
-the non-identity classes of a fixed-point-free representation, in
-Q(zeta_n), with no field division: each eigenvalue factor (1 - zeta_n^e)^-1
-is the closed form `exactnum.inverse_one_minus_root`, taken once per
-distinct exponent and raised to its multiplicity.  The classes are summed
-by Galois orbits {class(g^k) : gcd(k, ord g) = 1}: the summand at g^k is
-the conjugate sigma_k of the summand x at g, so an orbit adds |orbit|
-times the mean of the conjugates of x, its rational trace over phi(ord x).
-That identity is checked on the representation (once per representation
-and field order) and on the character values (per sum), never assumed; an
-orbit that fails a check is summed class by class.  A lens space is the
-case G = C_l with the representation `cyclic_free_rep` builds from its
-weights; a lens-space bundle over S^2 adds the Chern numbers of its line
-bundles, which multiply each summand by the bundle factor.  `eta_of`
-evaluates a `ManifoldSpec` against any virtual character of its group, or
-of its inclusion's target, whose class values it reads through the
-inclusion's class map (restriction naturality) without decomposing: the
-character may have nonzero dimension, since a difference of manifolds is
-the difference of their values.  A total that is not rational raises
-`NonRationalSumError`; values reduce to orders in R/Z or R/2Z.
-`eta_donnelly_float` and the weight-tuple formula behind `eta_of_float`
-are the double-precision mirrors; a value they cannot hold raises
-`FloatRangeError`.  Bordism never appears: a manifold is just the
-parameter data of its defining free action, and multiplying by the
-8-dimensional Bott manifold is a dimension shift that keeps the value.
+Two exact engines evaluate the values.  A lens space or lens-space bundle
+over S^2 goes to `_lens_sum`, an integer computation in Z[x]/(x^l - 1):
+each weight contributes the polynomial with coefficient i at e*i mod l,
+since 1/(1 - y) = -(1/l) sum_i i y^i at every l-th root of unity y != 1
+(Zagier, Higher dimensional Dedekind sums, Math. Ann. 202, 1973).  The
+polynomials are packed into one int each, multiplied in a balanced
+product tree, and the value reads one coefficient per irreducible of the
+character, whose coefficients are taken in the builtin basis of C_l
+through `grouprep.builtin_coefficients`: no cyclotomic arithmetic and no
+class value.
+
+A quaternionic sphere quotient, and any `FreeUnitaryRep` given to
+`eta_donnelly`, goes to the Donnelly sum over the non-identity classes of a
+fixed-point-free representation, in Q(zeta_n), with no field division:
+each eigenvalue factor (1 - zeta_n^e)^-1 is the closed form
+`exactnum.inverse_one_minus_root`, taken once per distinct exponent and
+raised to its multiplicity.  The classes are summed by Galois orbits
+{class(g^k) : gcd(k, ord g) = 1}: the summand at g^k is the conjugate
+sigma_k of the summand x at g, so an orbit adds |orbit| times the mean of
+the conjugates of x, its rational trace over phi(ord x).  That identity is
+checked on the representation (once per representation and field order)
+and on the character values (per sum), never assumed; an orbit that fails
+a check is summed class by class.  On `cyclic_free_rep` it is the
+independent check of the lens engine.
+
+`eta_of` evaluates a `ManifoldSpec` against any virtual character of its
+group or of its inclusion's target: a lens space reads the restricted
+coefficients through the inclusion's branching matrix, and a quaternionic
+quotient reads the class values through the inclusion's class map
+(restriction naturality).  The character may have nonzero dimension,
+since a difference of manifolds is the difference of their values.  A
+Donnelly total that is not rational raises `NonRationalSumError`; values
+reduce to orders in R/Z or R/2Z.  `eta_donnelly_float` and the
+weight-tuple formula behind `eta_of_float` are the double-precision
+mirrors; a value they cannot hold raises `FloatRangeError`.  Bordism never
+appears: a manifold is just the parameter data of its defining free
+action, and multiplying by the 8-dimensional Bott manifold is a dimension
+shift that keeps the value.
 """
 
 from __future__ import annotations
@@ -40,9 +53,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .exactnum import CyclotomicNumber, euler_phi, inverse_one_minus_root
 from .grouprep import (FiniteGroup, FreeUnitaryRep, InclusionMap,
-                       VirtualCharacter, character_table, cyclic_free_rep,
-                       is_quaternion_type, is_real_type, quaternion_free_rep,
-                       restrict_virtual)
+                       VirtualCharacter, builtin_coefficients, builtin_group,
+                       character_table, free_action_data, is_quaternion_type,
+                       is_real_type, quaternion_free_rep, restrict_virtual)
 
 
 class NonRationalSumError(ArithmeticError):
@@ -104,11 +117,10 @@ class LensSpec:
         bundle = self.kind == "bundle"
         if bundle and self.chern is None:
             object.__setattr__(self, "chern", (2,) + (0,) * (len(self.a) - 1))
-        # the free-action rules, checked on the representation `eta_of`
-        # reads; weight errors come before chern errors
-        tau = cyclic_free_rep(self.l, self.a, self.chern if bundle else None)
+        # weight errors come before chern errors
+        _, chern = free_action_data(self.l, self.a, self.chern if bundle else None)
         if bundle:
-            object.__setattr__(self, "chern", tau.chern)
+            object.__setattr__(self, "chern", chern)
         elif self.chern is not None:
             raise ValueError("sphere-kind lens spaces carry no chern data")
 
@@ -307,7 +319,7 @@ def eta_donnelly_float(tau: FreeUnitaryRep, rho: VirtualCharacter) -> float:
     return (total / tau.group.order).real
 
 
-def _lens_float(spec: LensSpec, rho: VirtualCharacter) -> float:
+def _lens_float(spec: LensSpec, coeffs: Sequence[int]) -> float:
     l, half = spec.l, sum(spec.a) // 2
 
     def root(e: int) -> complex:  # exponents reduced first: powers lose digits
@@ -323,9 +335,107 @@ def _lens_float(spec: LensSpec, rho: VirtualCharacter) -> float:
             for aj, cj in zip(spec.a, spec.chern):
                 factor += 0.5 * cj * (1 + root(k * aj)) / (1 - root(k * aj))
             f *= factor
-        trace = sum(c * root(k * j) for j, c in enumerate(rho.coeffs))
+        trace = sum(c * root(k * j) for j, c in enumerate(coeffs))
         total += f * trace
     return (total / l).real
+
+
+# -- the lens sum in Z[C_l] ------------------------------------------------------
+
+
+def _lens_sum(spec: LensSpec, coeffs: Sequence[int]) -> Fraction:
+    """The Donnelly sum of a lens space or lens-space bundle against the
+    virtual character sum_m coeffs[m] r_m, in integers of Z[x]/(x^l - 1).
+
+    For y = zeta^t != 1, 1/(1 - y) = -(1/l) sum_i i y^i, so the polynomial
+    F_e with coefficient i at e*i mod l has F_e(zeta^k) = -l (1 - zeta^(ke))^-1
+    for every weight e and k != 0 mod l.  With h = sum(a)/2 and w weights
+    (w is even, so the signs cancel), the summand at g^k is T(zeta^k) / D
+    for T = x^h prod_j F_(a_j) and D = l^w.  For a bundle, (1 + y)/(1 - y)
+    = -(2 F_e + l)(zeta^k)/l, so T gains the factor sum_j c_j (2 F_(a_j) + l)
+    and D becomes -2 l^(w+1).  Since sum_(k=1)^(l-1) zeta^(kt) = l [t = 0] - 1,
+
+        eta = (l sum_m coeffs[m] T[-m] - dim rho * T(1)) / (l D),
+
+    which reads one coefficient of T per nonzero coeffs[m].  Adding a
+    multiple of sum_t x^t to T changes neither T(zeta^k) nor eta, which
+    keeps every coefficient >= 0."""
+    l = spec.l
+    factors = [_weight_factor(l, e) for e in sorted(e % l for e in spec.a)]
+    while len(factors) > 1:  # a balanced product tree: each level doubles the width
+        factors = [_times(factors[i], factors[i + 1], l) if i + 1 < len(factors)
+                   else factors[i] for i in range(0, len(factors), 2)]
+    poly = _rotate(factors[0], sum(spec.a) // 2 % l, l)
+    denominator = l ** len(spec.a)
+    if spec.kind == "bundle":
+        factor = [0] * l
+        for e, c in zip(spec.a, spec.chern):
+            if c:
+                for i in range(l):
+                    factor[e * i % l] += 2 * c * i
+                factor[0] += c * l
+        lift = max(0, -min(factor))
+        poly = _times(poly, _pack([f + lift for f in factor]), l)
+        denominator *= -2 * l
+    bits = 8 * poly.width
+    mask = (1 << bits) - 1
+    paired = sum(cm * (poly.packed >> bits * (-m % l) & mask)
+                 for m, cm in enumerate(coeffs) if cm)
+    return Fraction(l * paired - sum(coeffs) * poly.total, l * denominator)
+
+
+class _Packed(NamedTuple):
+    """A polynomial of Z[x]/(x^l - 1) with coefficients >= 0, one int with
+    `width` little-endian bytes per coefficient.  `total`, the coefficient
+    sum, bounds every coefficient of it and of the products it enters."""
+    packed: int
+    width: int
+    total: int
+
+
+def _pack(coeffs: Sequence[int]) -> _Packed:
+    total = sum(coeffs)
+    width = max(1, (total.bit_length() + 7) // 8)
+    data = b"".join(c.to_bytes(width, "little") for c in coeffs)
+    return _Packed(int.from_bytes(data, "little"), width, total)
+
+
+@lru_cache(maxsize=None)
+def _weight_factor(l: int, e: int) -> _Packed:
+    """F_e, built once per (l, e)."""
+    coeffs = [0] * l
+    for i in range(l):
+        coeffs[e * i % l] = i
+    return _pack(coeffs)
+
+
+def _times(x: _Packed, y: _Packed, l: int) -> _Packed:
+    """The product x y: both widened to the width of the product's coefficient sum,
+    one int multiply, and one fold of x^(l+t) onto x^t."""
+    total = x.total * y.total
+    width = max(1, (total.bit_length() + 7) // 8)
+    z = _widen(x, width, l) * _widen(y, width, l)
+    bits = 8 * width * l
+    return _Packed((z & ((1 << bits) - 1)) + (z >> bits), width, total)
+
+
+def _rotate(p: _Packed, h: int, l: int) -> _Packed:
+    """p times the monomial x^h: a shift by h coefficients and one fold."""
+    z = p.packed << 8 * p.width * h
+    bits = 8 * p.width * l
+    return p._replace(packed=(z & ((1 << bits) - 1)) + (z >> bits))
+
+
+def _widen(x: _Packed, width: int, l: int) -> int:
+    """x packed with `width` >= x.width bytes per coefficient: byte j of
+    every coefficient moves in one strided slice."""
+    if width == x.width:
+        return x.packed
+    src = x.packed.to_bytes(l * x.width, "little")
+    out = bytearray(l * width)
+    for j in range(x.width):
+        out[j::width] = src[j::x.width]
+    return int.from_bytes(out, "little")
 
 
 # -- manifolds against ambient characters -------------------------------------
@@ -333,35 +443,49 @@ def _lens_float(spec: LensSpec, rho: VirtualCharacter) -> float:
 
 def eta_of(manifold: ManifoldSpec, rho: VirtualCharacter) -> Fraction:
     """Eta of the manifold against any virtual character rho on its group
-    (or on the inclusion's target, read on the source classes through the
-    inclusion's class map: naturality).  rho may have nonzero dimension: a
-    difference of two manifolds is the difference of their values.  Bott
-    factors do not change the value."""
-    group, values = rho.group, rho.values
-    inclusion = manifold.inclusion
+    (or on the inclusion's target, restricted along the inclusion:
+    naturality).  rho may have nonzero dimension: a difference of two
+    manifolds is the difference of their values.  Bott factors do not
+    change the value.
+
+    A lens space or lens-space bundle is the integer sum `_lens_sum` on
+    rho's coefficients in the builtin basis of C_l, which reads no class
+    value; a quaternionic quotient is the Donnelly sum over the class
+    values, read through the inclusion's class map."""
+    if manifold.lens is not None:
+        return _lens_sum(manifold.lens, _lens_coefficients(manifold, rho))
+    group, values, inclusion = rho.group, rho.values, manifold.inclusion
     if inclusion is not None:
-        if group is not inclusion.target:
-            raise ValueError("character must live on the inclusion's target group")
+        _check_target(inclusion, rho)
         group, values = inclusion.source, [values[c] for c in inclusion.class_map]
-    lens = manifold.lens
-    if lens is None:
-        tau = quaternion_free_rep(manifold.quaternion_k)
-    else:
-        tau = cyclic_free_rep(lens.l, lens.a, lens.chern)
-        if group is not tau.group:
-            raise ValueError(f"character must live on C_{lens.l}")
-    return _donnelly_sum(tau, group, values)
+    return _donnelly_sum(quaternion_free_rep(manifold.quaternion_k), group, values)
+
+
+def _check_target(inclusion: InclusionMap, rho: VirtualCharacter) -> None:
+    if rho.group is not inclusion.target:
+        raise ValueError("character must live on the inclusion's target group")
+
+
+def _lens_coefficients(manifold: ManifoldSpec, rho: VirtualCharacter) -> tuple[int, ...]:
+    """rho's coefficients on the builtin basis r_m(g^k) = zeta_l^(m k) of
+    the lens space's C_l, restricted along the inclusion when there is one."""
+    inclusion, l = manifold.inclusion, manifold.lens.l
+    if inclusion is not None:
+        _check_target(inclusion, rho)
+    if (rho.group if inclusion is None else inclusion.source) is not builtin_group(f"c{l}"):
+        raise ValueError(f"character must live on C_{l}")
+    return builtin_coefficients(rho, inclusion)
 
 
 def eta_of_float(manifold: ManifoldSpec, rho: VirtualCharacter) -> float:
     """Double-precision mirror of `eta_of`; a value outside double range
     raises `FloatRangeError`."""
-    if manifold.inclusion is not None:
-        rho = restrict_virtual(rho, manifold.inclusion)
     try:
-        if manifold.quaternion_k is not None:
-            return eta_donnelly_float(quaternion_free_rep(manifold.quaternion_k), rho)
-        return _lens_float(manifold.lens, rho)
+        if manifold.lens is not None:
+            return _lens_float(manifold.lens, _lens_coefficients(manifold, rho))
+        if manifold.inclusion is not None:
+            rho = restrict_virtual(rho, manifold.inclusion)
+        return eta_donnelly_float(quaternion_free_rep(manifold.quaternion_k), rho)
     except OverflowError:
         raise FloatRangeError("the eta value is outside double range") from None
 

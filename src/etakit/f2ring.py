@@ -733,6 +733,8 @@ class SteenrodData:
                     f"Sq^{low - d} of relation {sorted(map(alg._unpack, rel))} is {val}, not 0")
 
     def sq(self, i: int, e: Union[str, F2AlgebraElement]) -> F2AlgebraElement:
+        if not isinstance(i, int):
+            raise ValueError(f"Sq^{i!r} needs an integer index")
         if i < 0:
             raise ValueError("Sq^i needs i >= 0")
         shift = self.algebra._deg_shift

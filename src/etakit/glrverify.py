@@ -518,20 +518,24 @@ def _klein_images(n: int) -> tuple[frozenset, ...]:
     return tuple(_push(gen, push) for gen in klein_psc_generators(n))
 
 
+@lru_cache(maxsize=None)
+def _dihedral_index(n: int) -> dict:
+    """The position of each dihedral basis monomial of degree n, listed
+    once per degree for both the computed and the stated span."""
+    return {m: i for i, m in enumerate(_span_algebras()[0].graded_basis(n))}
+
+
 def dihedral_psc_span(n: int) -> list[int]:
     """Push the Klein-subgroup generators into the dihedral homology: the
     echelon basis of their span, as bitmasks over the dihedral basis."""
-    d8 = _span_algebras()[0]
-    index = {m: i for i, m in enumerate(d8.graded_basis(n))}
+    index = _dihedral_index(n)
     return gf2_echelon([_bitmask(image, index) for image in _klein_images(n)])
 
 
 def expected_dihedral_span(n: int) -> list[int]:
     """The stated span: duals of a^(4i) d^(4j+3) in dimensions 2 mod 4 and
     of a^(4i+2) d^(4j+1) in dimensions 0 mod 4."""
-    d8, _, _, _, _ = _span_algebras()
-    basis = d8.graded_basis(n)
-    index = {m: i for i, m in enumerate(basis)}
+    index = _dihedral_index(n)
     rows = []
     # each exponent e of d fixes the exponent n - 2e of a
     if n % 4 == 2:

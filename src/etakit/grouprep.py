@@ -10,10 +10,12 @@ Character inner products are one `exactnum.hermitian_sum` each.  Subgroup
 inclusions are given by generator images and checked on the generators,
 phi(x*s) = phi(x)*phi(s) for every x and generator s, which gives a
 homomorphism by induction on word length; each records its class map, the
-target class of every source class, and restriction reads the ambient
-values through it.  `NAMED_INCLUSIONS` is the one table of the named
-subgroups (Q8, C8, C4 and C2 in SD16, C4 in Q8, V2 in D8), built by
-`named_inclusion`.
+target class of every source class.  Restriction is one integer
+combination of the rows of a branching matrix, which decomposes each row
+of the ambient table, read through the class map, on the builtin table of
+the subgroup once per (table, inclusion).  `NAMED_INCLUSIONS` is the one
+table of the named subgroups (Q8, C8, C4 and C2 in SD16, C4 in Q8, V2 in
+D8), built by `named_inclusion`.
 """
 
 from __future__ import annotations
@@ -578,7 +580,8 @@ class InclusionMap:
 
     Built from generator images and checked on the generators; composition
     goes through `element_map`.  `class_map[c]` is the target class of the
-    source class c, and restriction of characters goes through it.
+    source class c, and the branching matrix of `restrict_virtual` reads
+    the ambient rows through it.
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup,
@@ -648,8 +651,38 @@ def restrict_virtual(chi: VirtualCharacter, inclusion: InclusionMap) -> VirtualC
     """Restriction along H -> G, re-expressed exactly in H's irreducible basis."""
     if chi.group is not inclusion.target:
         raise ValueError("character is not defined on the inclusion's target group")
-    return character_table(inclusion.source.name).decompose(
-        [chi.values[c] for c in inclusion.class_map])
+    return VirtualCharacter(character_table(inclusion.source.name),
+                            builtin_coefficients(chi, inclusion))
+
+
+def builtin_coefficients(chi: VirtualCharacter,
+                         inclusion: Optional[InclusionMap] = None) -> tuple[int, ...]:
+    """The coefficients of chi, restricted along `inclusion` when one is
+    given, on the builtin table of its group (of the inclusion's source):
+    one integer combination of the rows of `_branching_matrix`.  A builtin
+    table without an inclusion is read as it is; no class value is read."""
+    if inclusion is None and chi.table is character_table(chi.group.name):
+        return chi.coeffs
+    matrix = _branching_matrix(chi.table, inclusion)
+    out = [0] * len(matrix[0])
+    for c, row in zip(chi.coeffs, matrix):
+        if c:
+            out = [x + c * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _branching_matrix(table: CharacterTable,
+                      inclusion: Optional[InclusionMap]) -> tuple[tuple[int, ...], ...]:
+    """Row r is irreducible r of `table`, restricted along `inclusion` (if
+    any), on the builtin table of the source group: one decomposition per
+    row, built once per (table, inclusion).  The rows of a table given in
+    any order or basis, a `table_from_json` table among them, come out on
+    the one builtin basis."""
+    group = table.group if inclusion is None else inclusion.source
+    class_map = range(len(group.classes)) if inclusion is None else inclusion.class_map
+    builtin = character_table(group.name)
+    return tuple(builtin.decompose([row[c] for c in class_map]).coeffs for row in table.rows)
 
 
 # generator images of the named subgroups, keyed by (group, subgroup)
@@ -722,17 +755,13 @@ LENS_WEIGHT_CAP = 256
 QUATERNION_K_CAP = 1024
 
 
-def cyclic_free_rep(l: int, a: Sequence[int],
-                    chern: Optional[Sequence[int]] = None) -> FreeUnitaryRep:
-    """The C_l representation sum of rho_{a_j}, with the free-action rules
-    of a lens space S^(2n-1)/C_l: a nonempty even number of weights, at
-    most `LENS_WEIGHT_CAP`, every weight odd and coprime to l.  The square root
-    of the determinant is rho_{(sum a_j)/2}; sum a_j is even, so it exists
-    for every l.
-
-    `chern` attaches the line-bundle Chern numbers of a lens-space bundle
-    (see `FreeUnitaryRep`).  Each (l, a, chern) is built once.
-    """
+def free_action_data(l: int, a: Sequence[int], chern: Optional[Sequence[int]] = None
+                     ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
+    """The weights and Chern numbers as int tuples, after the free-action
+    rules of a lens space S^(2n-1)/C_l: a nonempty even number of weights,
+    at most `LENS_WEIGHT_CAP`, every weight odd and coprime to l.  Weight
+    errors come before Chern errors, and l must name a builtin cyclic
+    group."""
     a = tuple(int(x) for x in a)
     if not a:
         raise ValidationError("the weight tuple must not be empty")
@@ -748,7 +777,20 @@ def cyclic_free_rep(l: int, a: Sequence[int],
     chern = None if chern is None else tuple(int(c) for c in chern)
     if chern is not None and len(chern) != len(a):
         raise ValueError("chern data must match the weight tuple")
-    return _cyclic_free_rep(l, a, chern)
+    builtin_group(f"c{l}")
+    return a, chern
+
+
+def cyclic_free_rep(l: int, a: Sequence[int],
+                    chern: Optional[Sequence[int]] = None) -> FreeUnitaryRep:
+    """The C_l representation sum of rho_{a_j}, for weights that pass
+    `free_action_data`.  The square root of the determinant is
+    rho_{(sum a_j)/2}; sum a_j is even, so it exists for every l.
+
+    `chern` attaches the line-bundle Chern numbers of a lens-space bundle
+    (see `FreeUnitaryRep`).  Each (l, a, chern) is built once.
+    """
+    return _cyclic_free_rep(l, *free_action_data(l, a, chern))
 
 
 @lru_cache(maxsize=None)

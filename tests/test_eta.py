@@ -1,4 +1,5 @@
-"""The Donnelly engine: displayed values, orders, symmetries, certificates."""
+"""The lens engine in Z[C_l] and the Donnelly engine: displayed values,
+orders, symmetries, certificates, and each engine against the other."""
 
 import math
 import random
@@ -20,7 +21,8 @@ from etakit.grouprep import (FreeUnitaryRep, InclusionMap, NotFreeError,
                              OddLengthError, ValidationError,
                              VirtualCharacter, builtin_group,
                              character_table, cyclic_free_rep,
-                             quaternion_free_rep, restrict_virtual)
+                             quaternion_free_rep, restrict_virtual,
+                             table_from_json)
 from oracles import donnelly_by_class
 
 
@@ -172,14 +174,18 @@ class TestLensValues:
         with pytest.raises(ValueError, match="sphere-kind lens spaces carry no chern data"):
             LensSpec(8, (1, 1), "sphere", (1, 2))
 
-    def test_one_representation_per_bundle_spec(self):
-        # chern numbers no other test uses, so the spec builds a new representation
+    def test_lens_specs_build_no_representation(self):
+        # the spec checks the free-action rules on its weights, and the lens
+        # sum reads no eigenvalue data, so neither builds nor looks one up
         info = grouprep._cyclic_free_rep.cache_info
-        before = info().misses
+        before = info().hits + info().misses
         spec = LensSpec(8, (1, 3, 5, 7), "bundle", ["6", 0, -4, 2])
-        assert spec.chern == (6, 0, -4, 2) and info().misses == before + 1
+        assert spec.chern == (6, 0, -4, 2)
+        sphere = LensSpec(64, (1, 3, 61, 63))
         lens_eta(spec, c8_char(0, 1))
-        assert info().misses == before + 1
+        lens_eta(sphere, character_table("c64").irreducible("r5") - 1)
+        eta_of_float(ManifoldSpec(lens=spec), c8_char(0, 1))
+        assert info().hits + info().misses == before
 
     @pytest.mark.parametrize("kind,chern", [("sphere", None), ("bundle", (1, -2, 0, 3))])
     def test_nonzero_dimension_is_the_donnelly_sum(self, kind, chern):
@@ -194,6 +200,106 @@ class TestLensValues:
         t = character_table("c16")
         with pytest.raises(ValueError, match="character must live on C_8"):
             lens_eta(LensSpec(8, (1, 1)), t.irreducible("r1") - t.irreducible("r0"))
+
+
+class TestGroupRingEngine:
+    """The lens sum in Z[C_l] against its exact oracle, the Galois-orbit
+    Donnelly sum over the eigenvalue data of `cyclic_free_rep`."""
+
+    @staticmethod
+    def oracle(spec, chi):
+        return eta_donnelly(cyclic_free_rep(spec.l, spec.a, spec.chern), chi)
+
+    @settings(max_examples=80, deadline=None)
+    @given(l=st.integers(2, 64), kind=st.sampled_from(("sphere", "bundle")),
+           data=st.data())
+    def test_against_donnelly(self, l, kind, data):
+        # weights up to 4l, so reduced and unreduced weights both occur, and
+        # characters of any dimension
+        units = [u for u in range(1, 4 * l, 2) if math.gcd(u, l) == 1]
+        a = tuple(data.draw(st.lists(st.sampled_from(units), min_size=2, max_size=8)
+                            .filter(lambda v: len(v) % 2 == 0)))
+        chern = chern_numbers(data, a) if kind == "bundle" else None
+        spec = LensSpec(l, a, kind, chern)
+        chi = random_character(data, character_table(f"c{l}"))
+        assert lens_eta(spec, chi) == self.oracle(spec, chi)
+
+    @pytest.mark.parametrize("l", [8, 63, 64])
+    @pytest.mark.parametrize("kind", ["sphere", "bundle"])
+    def test_weight_cap(self, l, kind):
+        rng = random.Random(l)
+        units = [u for u in range(1, 4 * l, 2) if math.gcd(u, l) == 1]
+        a = tuple(rng.choice(units) for _ in range(grouprep.LENS_WEIGHT_CAP))
+        chern = tuple(rng.randint(-3, 3) for _ in a) if kind == "bundle" else None
+        spec = LensSpec(l, a, kind, chern)
+        chi = VirtualCharacter(character_table(f"c{l}"),
+                               [rng.randint(-3, 3) for _ in range(l)])
+        assert lens_eta(spec, chi) == self.oracle(spec, chi)
+
+    @pytest.mark.parametrize("which", ["c8", "c2", "c4i", "c4j"])
+    @settings(max_examples=15, deadline=None)
+    @given(kind=st.sampled_from(("sphere", "bundle")), data=st.data())
+    def test_through_inclusions(self, which, kind, data):
+        # against the Donnelly sum over the ambient values read through the
+        # class map, which decomposes nothing
+        fx = _sd16_fixture()
+        inclusion = getattr(fx, which)
+        l = inclusion.source.order
+        a = lens_weights(data, l)
+        chern = chern_numbers(data, a) if kind == "bundle" else None
+        manifold = ManifoldSpec(lens=LensSpec(l, a, kind, chern), inclusion=inclusion)
+        chi = random_character(data, fx.tsd)
+        values = [chi.values[c] for c in inclusion.class_map]
+        want = eta._donnelly_sum(cyclic_free_rep(l, a, manifold.lens.chern),
+                                 inclusion.source, values)
+        assert eta_of(manifold, chi) == want
+        assert abs(eta_of_float(manifold, chi) - float(want)) < 1e-9
+
+    @staticmethod
+    def _permuted(tag, order):
+        t = character_table(tag)
+        return table_from_json({"group": tag, "irreducibles": [
+            {"name": f"x{j}", "values": [str(v) for v in t.rows[j]]} for j in order]})
+
+    def test_row_permuted_cyclic_table(self):
+        # its coefficients read by position as builtin ones name r1 - r0,
+        # and L(8; 1,1,1,5) would give 3/64
+        order = [3, 0, 5, 7, 1, 2, 6, 4]
+        permuted = self._permuted("c8", order)
+        coeffs = [0] * 8
+        coeffs[order.index(0)], coeffs[order.index(3)] = 1, -1
+        chi = VirtualCharacter(permuted, coeffs)
+        spec = LensSpec(8, (1, 1, 1, 5))
+        assert lens_eta(spec, chi) == self.oracle(spec, chi) == Fraction(29, 64)
+        assert lens_eta(spec, c8_char(0, 3)) == Fraction(29, 64)
+        assert abs(eta_of_float(ManifoldSpec(lens=spec), chi) - 29 / 64) < 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(l=st.sampled_from((5, 12, 16)), data=st.data())
+    def test_any_row_order(self, l, data):
+        permuted = self._permuted(f"c{l}", data.draw(st.permutations(range(l))))
+        a = lens_weights(data, l)
+        chi = random_character(data, permuted)
+        spec = LensSpec(l, a, "bundle", chern_numbers(data, a))
+        assert lens_eta(spec, chi) == self.oracle(spec, chi)
+
+    def test_row_permuted_ambient_table(self):
+        fx = _sd16_fixture()
+        order = [6, 2, 0, 5, 1, 4, 3]
+        permuted = self._permuted("sd16", order)
+        for j, column in enumerate(fx.columns):
+            chi = VirtualCharacter(permuted, [column.coeffs[i] for i in order])
+            for row in free_quotients(7 + 8 * j).values():
+                assert eta_of(row, chi) == eta_of(row, column)
+
+    def test_reads_no_class_value(self):
+        # values are read on the Donnelly branch only
+        fx = _sd16_fixture()
+        on_c64 = VirtualCharacter(character_table("c64"), [1, 0, -1] + [0] * 61)
+        ambient = VirtualCharacter(fx.tsd, [1, 0, 0, 0, -1, 1, 0])
+        lens_eta(LensSpec(64, (1, 3)), on_c64)
+        eta_of(free_quotients(7)["L"], ambient)
+        assert "values" not in vars(on_c64) and "values" not in vars(ambient)
 
 
 class TestOrders:

@@ -693,6 +693,14 @@ class TestSteenrod:
         with pytest.raises(InconsistentSteenrodDataError, match="needs i >= 0"):
             SteenrodData(sd, {**self.SD_SQUARES, ("x", -1): value})
 
+    @pytest.mark.parametrize("index", ["1", 1.5, None])
+    def test_non_integer_square_index_refused(self, sd, index):
+        # a typed error, where comparing the index with 0 raised TypeError
+        with pytest.raises(ValueError, match="needs an integer index"):
+            semidihedral_steenrod(sd).sq(index, "x")
+        with pytest.raises(ValueError, match="needs i >= 0"):
+            semidihedral_steenrod(sd).sq(-1, "x")
+
     @pytest.mark.parametrize("key,value", [(("x", 0), "x"), (("u", 0), "u"),
                                            (("x", 1), "x^2"), (("u", 3), "u^2")])
     def test_forced_value_accepted(self, sd, key, value):

@@ -1,10 +1,11 @@
 """The verification harness: reference table, suites, and the report."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from etakit import f2ring, glrverify
+from etakit import f2ring, glrverify, grouprep
 from etakit.exactnum import CyclotomicNumber, inverse_one_minus_root
 from etakit.glrverify import (KERAP_DIMENSION_CAP, SPAN_DEGREE_CAP, SUITES,
                               _KERAP_EXPLICIT, _sd16_fixture,
@@ -96,15 +97,34 @@ class TestScenarioFixture:
         assert all(c.passed for c in verify_sd16_odd(3))
         assert calls["eta_of"] <= 162
 
-    def test_decompose_only_for_restriction_claims_and_products(self, monkeypatch):
-        # sd.kappa_restrict and d5.restrict, plus rho*rho5, t**2 and t**3 in
-        # the fixture; eta values read the ambient characters through class maps
+    def test_decompose_only_for_branching_matrices_and_products(self, monkeypatch):
+        # the 7 SD16 rows once for each of the inclusions c8, c2, q8, c4i and
+        # c4j, whose branching matrices every restriction and lens value
+        # reads, plus rho*rho5, t**2 and t**3 in the fixture; a second
+        # report decomposes nothing, however many eta values it reads
         calls = {"decompose": 0}
         monkeypatch.setattr(CharacterTable, "decompose",
                             counted(calls, "decompose", CharacterTable.decompose))
         _sd16_fixture.cache_clear()
+        grouprep._branching_matrix.cache_clear()
         assert not run_report("all").failures
-        assert calls["decompose"] == 5
+        assert calls["decompose"] == 5 * 7 + 3
+        assert not run_report("all").failures
+        assert calls["decompose"] == 5 * 7 + 3
+
+    def test_each_basis_listed_once_per_report(self, monkeypatch):
+        # prop51 listed each dihedral basis twice: 60 lists for 40 (algebra,
+        # degree) pairs
+        listed = Counter()
+        graded_basis = f2ring.PresentedF2Algebra.graded_basis
+
+        def counted_basis(algebra, n):
+            listed[id(algebra), n] += 1
+            return graded_basis(algebra, n)
+        monkeypatch.setattr(f2ring.PresentedF2Algebra, "graded_basis", counted_basis)
+        glrverify._dihedral_index.cache_clear()
+        assert not run_report("all").failures
+        assert listed and max(listed.values()) == 1
 
     def test_no_field_inversion(self, monkeypatch):
         # every eigenvalue factor is the closed form; nothing else divides

@@ -395,6 +395,20 @@ class TestRealityTypes:
 
 
 class TestRestriction:
+    def test_any_row_order_of_the_ambient_table(self):
+        # one branching matrix per (table, inclusion), read by the table's
+        # own rows, so a permuted table restricts to the same characters
+        t = character_table("sd16")
+        order = [4, 6, 0, 2, 5, 1, 3]
+        permuted = table_from_json({"group": "sd16", "irreducibles": [
+            {"name": f"x{j}", "values": [str(v) for v in t.rows[j]]} for j in order]})
+        for sub in ("q8", "c8", "c2", "c4"):
+            inc = named_inclusion("sd16", sub)
+            for j in range(7):
+                chi = VirtualCharacter(permuted, [int(i == j) for i in order])
+                want = restrict_virtual(t.irreducible(t.irreducible_names[j]), inc)
+                assert restrict_virtual(chi, inc) == want
+
     def test_rho2_to_quaternion_subgroup(self):
         sd, q8 = builtin_group("sd16"), builtin_group("q8")
         inc = InclusionMap.from_images(q8, sd, {"i": "s^2", "j": "t*s"})
