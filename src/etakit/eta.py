@@ -362,10 +362,11 @@ def _lens_sum(spec: LensSpec, coeffs: Sequence[int]) -> Fraction:
     keeps every coefficient >= 0."""
     l = spec.l
     factors = [_weight_factor(l, e) for e in sorted(e % l for e in spec.a)]
+    factors.append(_Packed(1 << 8 * (sum(spec.a) // 2 % l), 1, 1))  # x^h
     while len(factors) > 1:  # a balanced product tree: each level doubles the width
         factors = [_times(factors[i], factors[i + 1], l) if i + 1 < len(factors)
                    else factors[i] for i in range(0, len(factors), 2)]
-    poly = _rotate(factors[0], sum(spec.a) // 2 % l, l)
+    poly = factors[0]
     denominator = l ** len(spec.a)
     if spec.kind == "bundle":
         factor = [0] * l
@@ -410,20 +411,13 @@ def _weight_factor(l: int, e: int) -> _Packed:
 
 
 def _times(x: _Packed, y: _Packed, l: int) -> _Packed:
-    """The product x y: both widened to the width of the product's coefficient sum,
-    one int multiply, and one fold of x^(l+t) onto x^t."""
+    """The product x y: both widened to the width of the product's
+    coefficient sum, one int multiply, and one fold of x^(l+t) onto x^t."""
     total = x.total * y.total
     width = max(1, (total.bit_length() + 7) // 8)
     z = _widen(x, width, l) * _widen(y, width, l)
     bits = 8 * width * l
     return _Packed((z & ((1 << bits) - 1)) + (z >> bits), width, total)
-
-
-def _rotate(p: _Packed, h: int, l: int) -> _Packed:
-    """p times the monomial x^h: a shift by h coefficients and one fold."""
-    z = p.packed << 8 * p.width * h
-    bits = 8 * p.width * l
-    return p._replace(packed=(z & ((1 << bits) - 1)) + (z >> bits))
 
 
 def _widen(x: _Packed, width: int, l: int) -> int:
