@@ -1,43 +1,38 @@
 """Exact eta invariants of spherical space forms and lens-space bundles.
 
-Two exact engines evaluate the values.  A lens space or lens-space bundle
-over S^2 goes to `_lens_sum`, an integer computation in Z[x]/(x^l - 1):
-each weight contributes the polynomial with coefficient i at e*i mod l,
-since 1/(1 - y) = -(1/l) sum_i i y^i at every l-th root of unity y != 1
-(Zagier, Higher dimensional Dedekind sums, Math. Ann. 202, 1973).  The
-polynomials are packed into one int each, multiplied in a balanced
-product tree, and the value reads one coefficient per irreducible of the
-character, whose coefficients are taken in the builtin basis of C_l
-through `grouprep.builtin_coefficients`: no cyclotomic arithmetic and no
-class value.
+Two exact engines evaluate `eta_of`, and both read the character's
+coefficients in the builtin basis of the manifold's group through
+`grouprep.builtin_coefficients`: no class value.  A lens space or
+lens-space bundle over S^2 goes to `_lens_sum`, an integer computation in
+Z[x]/(x^l - 1) on packed ints: each weight contributes the polynomial with
+coefficient i at e*i mod l, since 1/(1 - y) = -(1/l) sum_i i y^i at every
+l-th root of unity y != 1 (Zagier, Higher dimensional Dedekind sums,
+Math. Ann. 202, 1973).  A quotient S^(4k+3)/Q8 goes to `_quaternion_sum`,
+one rational per builtin irreducible of Q8 and k, since every Donnelly
+summand is rational there (Gilkey, The Geometry of Spherical Space Form
+Groups).
 
-A quaternionic sphere quotient, and any `FreeUnitaryRep` given to
-`eta_donnelly`, goes to the Donnelly sum over the non-identity classes of a
-fixed-point-free representation, in Q(zeta_n), with no field division:
-each eigenvalue factor (1 - zeta_n^e)^-1 is the closed form
-`exactnum.inverse_one_minus_root`, taken once per distinct exponent and
-raised to its multiplicity.  The classes are summed by Galois orbits
-{class(g^k) : gcd(k, ord g) = 1}: the summand at g^k is the conjugate
-sigma_k of the summand x at g, so an orbit adds |orbit| times the mean of
-the conjugates of x, its rational trace over phi(ord x).  That identity is
-checked on the representation (once per representation and field order)
-and on the character values (per sum), never assumed; an orbit that fails
-a check is summed class by class.  On `cyclic_free_rep` it is the
-independent check of the lens engine.
+The Donnelly sum over the non-identity classes of a fixed-point-free
+representation, in Q(zeta_n), is the engine of `eta_donnelly` and the
+exact oracle of both.  It makes no field division: each eigenvalue factor
+(1 - zeta_n^e)^-1 is the closed form `exactnum.inverse_one_minus_root`,
+taken once per distinct exponent and raised to its multiplicity.  The
+classes are summed by Galois orbits {class(g^k) : gcd(k, ord g) = 1}: the
+summand at g^k is the conjugate sigma_k of the summand x at g, so an
+orbit adds |orbit| times the mean of the conjugates of x, its rational
+trace over phi(ord x).  That identity is checked on the representation
+(once per representation and field order) and on the character values
+(per sum), never assumed; an orbit that fails a check is summed class by
+class.
 
-`eta_of` evaluates a `ManifoldSpec` against any virtual character of its
-group or of its inclusion's target: a lens space reads the restricted
-coefficients through the inclusion's branching matrix, and a quaternionic
-quotient reads the class values through the inclusion's class map
-(restriction naturality).  The character may have nonzero dimension,
-since a difference of manifolds is the difference of their values.  A
-Donnelly total that is not rational raises `NonRationalSumError`; values
-reduce to orders in R/Z or R/2Z.  `eta_donnelly_float` and the
-weight-tuple formula behind `eta_of_float` are the double-precision
-mirrors; a value they cannot hold raises `FloatRangeError`.  Bordism never
-appears: a manifold is just the parameter data of its defining free
-action, and multiplying by the 8-dimensional Bott manifold is a dimension
-shift that keeps the value.
+A character may have nonzero dimension, since a difference of manifolds
+is the difference of their values.  A total that is not rational raises
+`NonRationalSumError`; values reduce to orders in R/Z or R/2Z.
+`eta_donnelly_float` and the weight-tuple formula behind `eta_of_float`
+are the double-precision mirrors; a value they cannot hold raises
+`FloatRangeError`.  Bordism never appears: a manifold is just the
+parameter data of its defining free action, and multiplying by the
+8-dimensional Bott manifold is a dimension shift that keeps the value.
 """
 
 from __future__ import annotations
@@ -45,17 +40,19 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .exactnum import CyclotomicNumber, euler_phi, inverse_one_minus_root
+from .exactnum import (CyclotomicNumber, euler_phi, integer_combination,
+                       inverse_one_minus_root)
 from .grouprep import (FiniteGroup, FreeUnitaryRep, InclusionMap,
                        VirtualCharacter, builtin_coefficients, builtin_group,
                        character_table, free_action_data, is_quaternion_type,
-                       is_real_type, quaternion_free_rep, restrict_virtual)
+                       is_real_type, quaternion_free_rep)
 
 
 class NonRationalSumError(ArithmeticError):
@@ -442,44 +439,68 @@ def eta_of(manifold: ManifoldSpec, rho: VirtualCharacter) -> Fraction:
     manifolds is the difference of their values.  Bott factors do not
     change the value.
 
-    A lens space or lens-space bundle is the integer sum `_lens_sum` on
-    rho's coefficients in the builtin basis of C_l, which reads no class
-    value; a quaternionic quotient is the Donnelly sum over the class
-    values, read through the inclusion's class map."""
+    One path: check the target, read rho's builtin coefficients, then run
+    `_lens_sum` (lens spaces and bundles) or `_quaternion_sum` (Q8)."""
+    coeffs = _coefficients(manifold, rho)
     if manifold.lens is not None:
-        return _lens_sum(manifold.lens, _lens_coefficients(manifold, rho))
-    group, values, inclusion = rho.group, rho.values, manifold.inclusion
-    if inclusion is not None:
-        _check_target(inclusion, rho)
-        group, values = inclusion.source, [values[c] for c in inclusion.class_map]
-    return _donnelly_sum(quaternion_free_rep(manifold.quaternion_k), group, values)
+        return _lens_sum(manifold.lens, coeffs)
+    return _quaternion_sum(manifold.quaternion_k, coeffs)
 
 
-def _check_target(inclusion: InclusionMap, rho: VirtualCharacter) -> None:
-    if rho.group is not inclusion.target:
+def _coefficients(manifold: ManifoldSpec, rho: VirtualCharacter) -> tuple[int, ...]:
+    """rho's coefficients on the builtin table of C_l or Q8, restricted along the inclusion."""
+    inclusion = manifold.inclusion
+    if inclusion is not None and rho.group is not inclusion.target:
         raise ValueError("character must live on the inclusion's target group")
-
-
-def _lens_coefficients(manifold: ManifoldSpec, rho: VirtualCharacter) -> tuple[int, ...]:
-    """rho's coefficients on the builtin basis r_m(g^k) = zeta_l^(m k) of
-    the lens space's C_l, restricted along the inclusion when there is one."""
-    inclusion, l = manifold.inclusion, manifold.lens.l
-    if inclusion is not None:
-        _check_target(inclusion, rho)
-    if (rho.group if inclusion is None else inclusion.source) is not builtin_group(f"c{l}"):
-        raise ValueError(f"character must live on C_{l}")
+    tag = "q8" if manifold.lens is None else f"c{manifold.lens.l}"
+    if (rho.group if inclusion is None else inclusion.source) is not builtin_group(tag):
+        raise ValueError(f"character must live on {tag[0].upper()}_{tag[1:]}")
     return builtin_coefficients(rho, inclusion)
+
+
+def _quaternion_sum(k: int, coeffs: Sequence[int]) -> Fraction:
+    """eta(S^(4k+3)/Q8) against sum_r coeffs[r] chi_r, chi_r the builtin
+    irreducibles: one integer combination of `_quaternion_etas(k)`."""
+    numerators, denominator = _quaternion_etas(k)
+    return Fraction(sum(c * n for c, n in zip(coeffs, numerators)), denominator)
+
+
+@lru_cache(maxsize=None)
+def _quaternion_etas(k: int) -> tuple[tuple[int, ...], int]:
+    """eta(S^(4k+3)/Q8; chi_r) for each builtin chi_r, numerators over one
+    denominator: sum_(c != 1) size(c) chi_r(c) det_sqrt(c) / det(1 - tau(c))
+    over |Q8|.  The eigenvalues are powers i^e, and det(1 - tau(c)) is
+    rational iff e = 1, 3 occur equally often mod 4: (1 +- i)^4 = -4."""
+    tau = quaternion_free_rep(k)
+    sizes, weights = tau.group.class_sizes, []
+    for c in range(1, len(sizes)):
+        exps, det_sqrt = tau.eigen_exponents[c], tau.det_sqrt[c].as_rational()
+        plus, minus = exps.count(1), exps.count(3)
+        if (plus - minus) % 4 or det_sqrt is None:
+            raise NonRationalSumError(f"the Q8 class factor at class {c} is not rational")
+        det = 2 ** (exps.count(2) + min(plus, minus)) * (-4) ** (abs(plus - minus) // 4)
+        weights.append(sizes[c] * det_sqrt / det)
+    scale = math.lcm(*(w.denominator for w in weights))
+    weights = [int(w * scale) for w in weights]
+    rows = _q8_rows()
+    return tuple(sum(map(operator.mul, weights, row[1:])) for row in rows), tau.group.order * scale
+
+
+@lru_cache(maxsize=None)
+def _q8_rows() -> tuple[tuple[int, ...], ...]:
+    """The builtin Q8 table as ints: rational algebraic integers are integers."""
+    return tuple(tuple(int(v.as_rational()) for v in row) for row in character_table("q8").rows)
 
 
 def eta_of_float(manifold: ManifoldSpec, rho: VirtualCharacter) -> float:
     """Double-precision mirror of `eta_of`; a value outside double range
     raises `FloatRangeError`."""
     try:
+        coeffs = _coefficients(manifold, rho)
         if manifold.lens is not None:
-            return _lens_float(manifold.lens, _lens_coefficients(manifold, rho))
-        if manifold.inclusion is not None:
-            rho = restrict_virtual(rho, manifold.inclusion)
-        return eta_donnelly_float(quaternion_free_rep(manifold.quaternion_k), rho)
+            return _lens_float(manifold.lens, coeffs)
+        return eta_donnelly_float(quaternion_free_rep(manifold.quaternion_k),
+                                  VirtualCharacter(character_table("q8"), coeffs))
     except OverflowError:
         raise FloatRangeError("the eta value is outside double range") from None
 

@@ -5,9 +5,10 @@ Q[z]/Phi_n(z) as a tuple of integer numerators over one positive common
 denominator, with gcd(den, *num) = 1.  That normal form is unique, so
 equality, rationality tests and serialization are all exact.
 
-A product is an integer convolution followed by one reduction by the
-monic integer Phi_n, which walks the nonzero low terms of Phi_n; for
-n = 2^k that is the single term of x^(n/2) + 1 (negacyclic folding).
+A product is an integer convolution, or a shift when a factor is a
+monomial c z^s, then one reduction by the monic integer Phi_n, which
+walks the nonzero low terms of Phi_n; for n = 2^k that is the single
+term of x^(n/2) + 1 (negacyclic folding).
 The product of the other Galois conjugates of x is N(x)/x for the
 rational norm N(x), and dividing it by N(x) gives the inverse.  The
 sum of the conjugates, the trace, needs no conjugate at all: it is the
@@ -126,11 +127,6 @@ def _normal(order: int, num: list[int], den: int) -> "CyclotomicNumber":
     return _make(order, tuple(num), den)
 
 
-def _scale(x: "CyclotomicNumber", p: int, q: int) -> "CyclotomicNumber":
-    """x * p/q for integers p and q > 0."""
-    return _normal(x._n, [c * p for c in x._num], x._den * q)
-
-
 class CyclotomicNumber:
     """An element of Q(zeta_n) in normal form mod Phi_n.
 
@@ -226,15 +222,18 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _scale(self, other.numerator, other.denominator)
+            return _normal(self._n, [c * other.numerator for c in self._num],
+                           self._den * other.denominator)
         a, b = self._promote(other)
         if a is NotImplemented:
             return NotImplemented
         x, y = a._num, b._num
-        if not any(y[1:]):
-            return _scale(a, y[0], b._den)
-        if not any(x[1:]):
-            return _scale(b, x[0], a._den)
+        if len(x) - x.count(0) == 1:
+            x, y = y, x
+        if len(y) - y.count(0) == 1:  # d z^s: x shifted by s, reduced once
+            s = y.index(next(filter(None, y)))
+            return _normal(a._n, _reduce([0] * s + [y[s] * c for c in x], a._n),
+                           a._den * b._den)
         out = [0] * (2 * len(x) - 1)
         for i, c in enumerate(x):
             if c:

@@ -298,6 +298,7 @@ class CharacterTable:
             if len(row) != len(group.classes):
                 raise ValidationError(f"irreducible row {r}: expected "
                                       f"{len(group.classes)} values, got {len(row)}")
+        self.degrees = tuple(row[0] for row in self.rows)  # chi_r(1) of each row
         if validate:
             self.validate_orthogonality()
 
@@ -393,7 +394,8 @@ class VirtualCharacter:
 
     @property
     def dim(self) -> int:
-        r = self.values[0].as_rational()
+        """sum_r c_r chi_r(1) over the table's row degrees: no class value."""
+        r = integer_combination(self.coeffs, self.table.degrees).as_rational()
         if r is None or r.denominator != 1:
             raise ValidationError(f"virtual character {self} has dimension {r}, "
                                   f"not an integer")
@@ -581,7 +583,7 @@ class InclusionMap:
     Built from generator images and checked on the generators; composition
     goes through `element_map`.  `class_map[c]` is the target class of the
     source class c, and the branching matrix of `restrict_virtual` reads
-    the ambient rows through it.
+    the ambient rows through it.  Equal source, target and element map: equal maps.
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup,
@@ -592,6 +594,13 @@ class InclusionMap:
         self._validate()
         self.class_map = tuple(target.class_of[self.element_map[cls[0]]]
                                for cls in source.classes)
+        self._key = (source, target, self.element_map)
+
+    def __eq__(self, other):
+        return isinstance(other, InclusionMap) and other._key == self._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @staticmethod
     def from_images(source: FiniteGroup, target: FiniteGroup,
@@ -678,7 +687,7 @@ def _branching_matrix(table: CharacterTable,
     any), on the builtin table of the source group: one decomposition per
     row, built once per (table, inclusion).  The rows of a table given in
     any order or basis, a `table_from_json` table among them, come out on
-    the one builtin basis."""
+    the one builtin basis.  Equal inclusions share one matrix."""
     group = table.group if inclusion is None else inclusion.source
     class_map = range(len(group.classes)) if inclusion is None else inclusion.class_map
     builtin = character_table(group.name)

@@ -16,7 +16,7 @@ from etakit.eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
 from etakit.exactnum import (CyclotomicNumber, inverse_one_minus_root,
                              root_of_unity)
 from etakit import grouprep
-from etakit.glrverify import _sd16_fixture, free_quotients
+from etakit.glrverify import _sd16_fixture, free_quotients, run_report
 from etakit.grouprep import (FreeUnitaryRep, InclusionMap, NotFreeError,
                              OddLengthError, ValidationError,
                              VirtualCharacter, builtin_group,
@@ -293,13 +293,95 @@ class TestGroupRingEngine:
                 assert eta_of(row, chi) == eta_of(row, column)
 
     def test_reads_no_class_value(self):
-        # values are read on the Donnelly branch only
         fx = _sd16_fixture()
         on_c64 = VirtualCharacter(character_table("c64"), [1, 0, -1] + [0] * 61)
         ambient = VirtualCharacter(fx.tsd, [1, 0, 0, 0, -1, 1, 0])
         lens_eta(LensSpec(64, (1, 3)), on_c64)
         eta_of(free_quotients(7)["L"], ambient)
         assert "values" not in vars(on_c64) and "values" not in vars(ambient)
+
+
+class TestQuaternionEngine:
+    """The Q8 sum on builtin coefficients against its exact oracles, the
+    Galois-orbit Donnelly sum and the class-by-class sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from(list(range(18)) + [grouprep.QUATERNION_K_CAP]),
+           source=st.sampled_from(("q8", "sd16", "permuted")), data=st.data())
+    def test_against_donnelly(self, k, source, data):
+        fx, tau = _sd16_fixture(), quaternion_free_rep(k)
+        if source == "sd16":
+            chi = random_character(data, fx.tsd)
+            manifold = ManifoldSpec(quaternion_k=k, inclusion=fx.q8)
+            on_q8 = restrict_virtual(chi, fx.q8)
+            values = [chi.values[c] for c in fx.q8.class_map]
+        else:
+            table = character_table("q8") if source == "q8" else \
+                TestGroupRingEngine._permuted("q8", data.draw(st.permutations(range(5))))
+            chi = on_q8 = random_character(data, table)
+            manifold = ManifoldSpec(quaternion_k=k)
+            values = chi.values
+        value = eta_of(manifold, chi)
+        assert value == eta_donnelly(tau, on_q8) == donnelly_by_class(tau, tau.group, values)
+        if k <= 17:  # the float mirror overflows long before the cap
+            assert abs(eta_of_float(manifold, chi) - float(value)) < 1e-9
+
+    def test_row_permuted_table(self):
+        # tau - 2 r0, whose coefficients read by position as builtin ones
+        # would name r0 - 2 k2
+        order = [4, 2, 0, 1, 3]
+        chi = VirtualCharacter(TestGroupRingEngine._permuted("q8", order), [1, 0, -2, 0, 0])
+        t = character_table("q8")
+        manifold = ManifoldSpec(quaternion_k=1)
+        want = -eta_of(manifold, 2 - t.irreducible("tau"))
+        assert eta_of(manifold, chi) == want == eta_donnelly(quaternion_free_rep(1), chi)
+        assert want != eta_of(manifold, t.trivial() - 2 * t.irreducible("k2"))
+
+    def test_report_runs_no_donnelly_sum(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("the Donnelly sum ran")
+        monkeypatch.setattr(eta, "_donnelly_sum", refuse)
+        assert not run_report("all").failures
+
+    def test_reads_no_class_value(self):
+        fx = _sd16_fixture()
+        on_q8 = VirtualCharacter(character_table("q8"), [2, 0, 0, 0, -1])
+        ambient = VirtualCharacter(fx.tsd, [1, 0, 0, 0, -1, 1, 0])
+        assert eta_of(ManifoldSpec(quaternion_k=2), on_q8) == Fraction(1, 128) + Fraction(3, 16)
+        eta_of(ManifoldSpec(quaternion_k=2, inclusion=fx.q8), ambient)
+        assert "values" not in vars(on_q8) and "values" not in vars(ambient)
+
+    @pytest.mark.parametrize("evaluate", [eta_of, eta_of_float])
+    def test_character_on_the_wrong_group(self, evaluate):
+        fx = _sd16_fixture()
+        on_c8 = character_table("c8").irreducible("r1")
+        with pytest.raises(ValueError, match="character must live on Q_8"):
+            evaluate(ManifoldSpec(quaternion_k=0), on_c8)
+        with pytest.raises(ValueError, match="character must live on Q_8"):
+            evaluate(ManifoldSpec(quaternion_k=0), fx.tsd.trivial())
+        with pytest.raises(ValueError, match="the inclusion's target group"):
+            evaluate(ManifoldSpec(quaternion_k=0, inclusion=fx.q8), on_c8)
+        with pytest.raises(ValueError, match="character must live on Q_8"):
+            evaluate(ManifoldSpec(quaternion_k=0, inclusion=fx.c8), fx.tsd.trivial())
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            evaluate(ManifoldSpec(quaternion_k=grouprep.QUATERNION_K_CAP + 1), fx.tq8.trivial())
+
+    @pytest.mark.parametrize("exponents,det_sqrt", [
+        # det(1 - tau) = (1 - i)^2 * 2 = -4i off the identity, det_sqrt = 1
+        ([(0, 0, 0)] + [(1, 1, 2)] * 4, [1] * 5),
+        # det(1 - tau) is rational everywhere, det_sqrt is +-i off the identity
+        ([(0, 0, 0), (2, 2, 2)] + [(1, 3, 2)] * 3, [1] + [root_of_unity(4, 1)] * 4),
+    ])
+    def test_non_rational_class_factor_raises(self, monkeypatch, exponents, det_sqrt):
+        # a typed error, which python -O keeps
+        q8 = builtin_group("q8")
+        tau = FreeUnitaryRep(q8, len(exponents[0]), 4, exponents,
+                             [CyclotomicNumber.from_rational(d) if isinstance(d, int) else d
+                              for d in det_sqrt])
+        monkeypatch.setattr(eta, "quaternion_free_rep", lambda k: tau)
+        eta._quaternion_etas.cache_clear()
+        with pytest.raises(NonRationalSumError, match="class factor .* is not rational"):
+            eta_of(ManifoldSpec(quaternion_k=0), character_table("q8").trivial())
 
 
 class TestOrders:

@@ -452,3 +452,31 @@ def test_trace_of_roots_of_unity_is_the_ramanujan_sum():
     # Tr(zeta_12^j) = mu(q) phi(12)/phi(q), q = 12/gcd(j, 12)
     assert [root_of_unity(12, j).trace() for j in range(12)] == \
         [4, 0, 2, 0, -2, 0, -4, 0, -2, 0, 2, 0]
+
+
+@st.composite
+def monomial_and_dense(draw, order):
+    """(m, x, d): m = c z^s with one nonzero power-basis coefficient, x any
+    element, d with at least two nonzero coefficients, all in Q(zeta_order)."""
+    phi = euler_phi(order)
+    s = draw(st.integers(0, phi - 1))
+    c = draw(small_rational.filter(bool))
+    m = CyclotomicNumber(order, [c if j == s else 0 for j in range(phi)])
+    x = CyclotomicNumber(order, draw(st.lists(st.one_of(st.just(Fraction(0)), small_rational),
+                                              min_size=phi, max_size=phi)))
+    picks = draw(st.lists(st.integers(0, phi - 1), min_size=2, max_size=6, unique=True))
+    d = CyclotomicNumber(order, [Fraction(j + 1, 3) if j in picks else 0 for j in range(phi)])
+    return m, x, d
+
+
+@pytest.mark.parametrize("order", [61, 64])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_monomial_product_matches_the_convolution(order, data):
+    # x * m takes the shift path; x * (m + d) and x * d convolve
+    m, x, d = data.draw(monomial_and_dense(order))
+    want = x * (m + d) - x * d
+    assert x * m == want and m * x == want
+    assert (x * m).coeffs == _ref_from_poly(order, _ref_mul(list(x.coeffs), list(m.coeffs)))
+    root = root_of_unity(order, data.draw(st.integers(0, order - 1)))
+    assert m * root == m * (root + d) - m * d

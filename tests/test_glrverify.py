@@ -99,8 +99,8 @@ class TestScenarioFixture:
 
     def test_decompose_only_for_branching_matrices_and_products(self, monkeypatch):
         # the 7 SD16 rows once for each of the inclusions c8, c2, q8, c4i and
-        # c4j, whose branching matrices every restriction and lens value
-        # reads, plus rho*rho5, t**2 and t**3 in the fixture; a second
+        # c4j, whose branching matrices every restriction, lens value and
+        # Q8 value reads, plus rho*rho5, t**2 and t**3 in the fixture; a second
         # report decomposes nothing, however many eta values it reads
         calls = {"decompose": 0}
         monkeypatch.setattr(CharacterTable, "decompose",
@@ -111,6 +111,17 @@ class TestScenarioFixture:
         assert calls["decompose"] == 5 * 7 + 3
         assert not run_report("all").failures
         assert calls["decompose"] == 5 * 7 + 3
+
+    def test_rebuilt_fixture_decomposes_nothing_new(self, monkeypatch):
+        # the rebuilt inclusions equal the first ones, and equal inclusions
+        # share one branching matrix; only the fixture's products decompose
+        calls = {"decompose": 0}
+        assert not run_report("all").failures
+        monkeypatch.setattr(CharacterTable, "decompose",
+                            counted(calls, "decompose", CharacterTable.decompose))
+        _sd16_fixture.cache_clear()
+        assert not run_report("all").failures
+        assert calls["decompose"] == 3
 
     def test_each_basis_listed_once_per_report(self, monkeypatch):
         # prop51 listed each dihedral basis twice: 60 lists for 40 (algebra,

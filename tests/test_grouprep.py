@@ -252,6 +252,35 @@ def characters(draw, tag):
 
 BUILTIN_TAGS = [f"c{n}" for n in range(1, 65)] + ["v2", "d8", "q8", "sd16"]
 
+
+def row_permuted(tag, order):
+    """The builtin table of `tag` with its rows in `order`, through JSON."""
+    t = character_table(tag)
+    return table_from_json({"group": tag, "irreducibles": [
+        {"name": f"x{j}", "values": [str(v) for v in t.rows[j]]} for j in order]})
+
+
+class TestDimension:
+    def test_reads_no_class_value(self):
+        chi = VirtualCharacter(character_table("c64"), [1, 0, -1] + [0] * 61)
+        assert chi.dim == 0
+        assert "values" not in vars(chi)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(BUILTIN_TAGS).flatmap(characters))
+    def test_equals_the_value_at_the_identity(self, chi):
+        assert chi.dim == chi.values[0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(tag=st.sampled_from(["c12", "q8", "sd16"]), data=st.data())
+    def test_row_permuted_table(self, tag, data):
+        n = len(character_table(tag).rows)
+        table = row_permuted(tag, data.draw(st.permutations(range(n))))
+        chi = VirtualCharacter(table, data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                                         max_size=n)))
+        assert chi.dim == chi.values[0]
+
+
 # (subgroup, group, generator images): the restrictions the claims use
 RESTRICTIONS = [("c8", "sd16", {"g": "s"}), ("c2", "sd16", {"g": "t"}),
                 ("q8", "sd16", {"i": "s^2", "j": "t*s"}), ("c4", "q8", {"g": "i"})]
@@ -400,8 +429,7 @@ class TestRestriction:
         # own rows, so a permuted table restricts to the same characters
         t = character_table("sd16")
         order = [4, 6, 0, 2, 5, 1, 3]
-        permuted = table_from_json({"group": "sd16", "irreducibles": [
-            {"name": f"x{j}", "values": [str(v) for v in t.rows[j]]} for j in order]})
+        permuted = row_permuted("sd16", order)
         for sub in ("q8", "c8", "c2", "c4"):
             inc = named_inclusion("sd16", sub)
             for j in range(7):
@@ -482,6 +510,24 @@ class TestRestriction:
 
     def test_named_inclusion_built_once(self):
         assert named_inclusion("sd16", "q8") is named_inclusion("sd16", "q8")
+
+    def test_equal_inclusions_share_one_branching_matrix(self, monkeypatch):
+        sd, q8 = builtin_group("sd16"), builtin_group("q8")
+        images = {"i": "s^2", "j": "t*s"}
+        first, second = (InclusionMap.from_images(q8, sd, images) for _ in range(2))
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert first != InclusionMap.from_images(q8, sd, {"i": "s^2", "j": "s*t"})
+        calls = []
+        decompose = CharacterTable.decompose
+
+        def counted(table, values):
+            calls.append(values)
+            return decompose(table, values)
+        monkeypatch.setattr(CharacterTable, "decompose", counted)
+        grouprep._branching_matrix.cache_clear()
+        chi = character_table("sd16").irreducible("rho2")
+        assert restrict_virtual(chi, first) == restrict_virtual(chi, second)
+        assert len(calls) == 7
 
 
 class TestFreeRepresentations:
