@@ -14,16 +14,10 @@ Groups).
 
 The Donnelly sum over the non-identity classes of a fixed-point-free
 representation, in Q(zeta_n), is the engine of `eta_donnelly` and the
-exact oracle of both.  It makes no field division: each eigenvalue factor
+exact oracle of both, sharing none of their arithmetic.  It is summed class
+by class and makes no field division: each eigenvalue factor
 (1 - zeta_n^e)^-1 is the closed form `exactnum.inverse_one_minus_root`,
-taken once per distinct exponent and raised to its multiplicity.  The
-classes are summed by Galois orbits {class(g^k) : gcd(k, ord g) = 1}: the
-summand at g^k is the conjugate sigma_k of the summand x at g, so an
-orbit adds |orbit| times the mean of the conjugates of x, its rational
-trace over phi(ord x).  That identity is checked on the representation
-(once per representation and field order) and on the character values
-(per sum), never assumed; an orbit that fails a check is summed class by
-class.
+taken once per distinct exponent and raised to its multiplicity.
 
 A character may have nonzero dimension, since a difference of manifolds
 is the difference of their values.  A total that is not rational raises
@@ -47,8 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .exactnum import (CyclotomicNumber, euler_phi, integer_combination,
-                       inverse_one_minus_root)
+from .exactnum import CyclotomicNumber, inverse_one_minus_root
 from .grouprep import (FiniteGroup, FreeUnitaryRep, InclusionMap,
                        VirtualCharacter, builtin_coefficients, builtin_group,
                        character_table, free_action_data, is_quaternion_type,
@@ -169,135 +162,28 @@ def eta_donnelly(tau: FreeUnitaryRep, rho: VirtualCharacter) -> Fraction:
 def _donnelly_sum(tau: FreeUnitaryRep, group: FiniteGroup,
                   values: Sequence[CyclotomicNumber]) -> Fraction:
     """The sum of `eta_donnelly` for a character on `group` given by its
-    class values, one exact summand per Galois orbit of classes.
-
-    The summand at class(g^k) is sigma_k of the summand x at g when tau
-    and the values are Galois-compatible there, and the classes of an
-    orbit have one size, so the orbit adds size * |orbit| * Tr(x) / phi(N)
-    for the order N of x.  Compatibility is checked, never assumed: on
-    tau once per (tau, order) by `_tau_stable`, on the values here, at the
-    (class, k) pairs of `_Orbit.checks`.  An orbit that fails a check is
-    summed class by class.  The representation's part of each summand is
-    `_rep_factor`, built once per (tau, class)."""
+    class values, one summand per non-identity class."""
     if group is not tau.group:
         raise ValueError("representation and character live on different groups")
-    order = math.lcm(tau.root_order, *(v.order for v in values),
-                     *(d.order for d in tau.det_sqrt))
-    sizes = group.class_sizes
-    rational = Fraction(0)
-    rest = CyclotomicNumber.from_rational(0)
-    for orbit, stable in zip(_galois_orbits(group, order), _tau_stable(tau, order)):
-        rep = orbit.classes[0]
-        value = values[rep]
-        x = value * _rep_factor(tau, rep)
-        if stable and all(values[c] == value.galois(k) for c, k in orbit.checks):
-            rational += sizes[rep] * len(orbit.classes) * x.trace() / euler_phi(x.order)
-            continue
-        rest = rest + sizes[rep] * x
-        for c in orbit.classes[1:]:
-            rest = rest + sizes[c] * values[c] * _rep_factor(tau, c)
-    r = ((rest + rational) * Fraction(1, group.order)).as_rational()
+    n = tau.root_order
+    total = CyclotomicNumber.from_rational(0)
+    for c in range(1, len(group.classes)):
+        exps = tau.eigen_exponents[c]
+        term = values[c] * tau.det_sqrt[c]
+        for e, mult in Counter(exps).items():
+            term = term * inverse_one_minus_root(n, e) ** mult
+        if tau.chern is not None:
+            # (1 + lambda)/(1 - lambda) = 2 (1 - lambda)^-1 - 1
+            factor = CyclotomicNumber.from_rational(0)
+            for e, cj in zip(exps, tau.chern):
+                if cj:
+                    factor = factor + Fraction(cj, 2) * (2 * inverse_one_minus_root(n, e) - 1)
+            term = term * factor
+        total = total + group.class_sizes[c] * term
+    r = (total * Fraction(1, group.order)).as_rational()
     if r is None:
         raise NonRationalSumError("Donnelly sum did not reduce to a rational")
     return r
-
-
-@lru_cache(maxsize=None)
-def _rep_factor(tau: FreeUnitaryRep, c: int) -> CyclotomicNumber:
-    """det_sqrt / det(I - tau) at class c, times the bundle factor when tau
-    carries Chern numbers, built once per (tau, class).  Every eigenvalue
-    factor is the cached closed form of (1 - zeta_n^e)^-1, taken once per
-    distinct exponent and raised to its multiplicity."""
-    n, exps = tau.root_order, tau.eigen_exponents[c]
-    term = tau.det_sqrt[c]
-    for e, mult in Counter(exps).items():
-        term = term * inverse_one_minus_root(n, e) ** mult
-    if tau.chern is not None:
-        # (1 + lambda)/(1 - lambda) = 2 (1 - lambda)^-1 - 1
-        factor = CyclotomicNumber.from_rational(0)
-        for e, cj in zip(exps, tau.chern):
-            if cj:
-                factor = factor + Fraction(cj, 2) * (2 * inverse_one_minus_root(n, e) - 1)
-        term = term * factor
-    return term
-
-
-class _Orbit(NamedTuple):
-    classes: tuple[int, ...]           # the representative class(g) first
-    checks: tuple[tuple[int, int], ...]  # (class c, k): data at c = sigma_k(data at g)
-
-
-@lru_cache(maxsize=None)
-def _galois_orbits(group: FiniteGroup, order: int) -> tuple[_Orbit, ...]:
-    """The non-identity classes in Galois orbits {class(g^k) : gcd(k, ord g)
-    = 1}, each led by its least class, for data in Q(zeta_order).
-
-    With L = lcm(order, ord g), the units k mod L with class(g^k) = class(g)
-    form a subgroup K, and each class of the orbit is class(g^k) for the k
-    of one coset of K.  So class data D has D(class(g^k)) = sigma_k(D(g))
-    for every unit k mod L, which the orbit sum needs, once it holds at one
-    k per other class and at class(g) for generators of K: the checks."""
-    orbits, covered = [], {0}
-    for rep in range(1, len(group.classes)):
-        if rep in covered:
-            continue
-        g = group.classes[rep][0]
-        powers, x = [0], g
-        while x != 0:
-            powers.append(x)
-            x = group.mul(x, g)
-        modulus = math.lcm(order, len(powers))
-        first: dict[int, int] = {}
-        fixers = []
-        for k in range(1, modulus):
-            if math.gcd(k, modulus) == 1:
-                c = group.class_of[powers[k % len(powers)]]
-                first.setdefault(c, k)
-                if c == rep:
-                    fixers.append(k)
-        covered.update(first)
-        checks = [(c, k) for c, k in first.items() if c != rep]
-        checks += [(rep, h) for h in _unit_generators(fixers, modulus)]
-        orbits.append(_Orbit(tuple(first), tuple(checks)))
-    return tuple(orbits)
-
-
-def _unit_generators(subgroup: Sequence[int], modulus: int) -> list[int]:
-    """Generators, 1 left out, of a subgroup of (Z/modulus)^*, listed in
-    increasing order: each is the first element outside the span of those
-    before it.  The span grows by the cosets r*h^i of a new generator h."""
-    gens, reached = [], {1}
-    for h in subgroup:
-        if h in reached:
-            continue
-        gens.append(h)
-        grown, power = set(reached), h
-        while power != 1:
-            grown.update(r * power % modulus for r in reached)
-            power = power * h % modulus
-        reached = grown
-    return gens
-
-
-@lru_cache(maxsize=None)
-def _tau_stable(tau: FreeUnitaryRep, order: int) -> tuple[bool, ...]:
-    """For each orbit of `_galois_orbits(tau.group, order)`, whether tau's
-    data at every checked (c, k) is sigma_k of its data at the
-    representative: the exponents times k mod n, slot by slot when Chern
-    numbers tie the slots to line bundles and as a multiset otherwise, and
-    det_sqrt[c] the Galois image of the representative's."""
-    n, exps, dets = tau.root_order, tau.eigen_exponents, tau.det_sqrt
-
-    def moved(rep: int, c: int, k: int) -> bool:
-        image = tuple(k * e % n for e in exps[rep])
-        if tau.chern is None:
-            image, target = sorted(image), sorted(exps[c])
-        else:
-            target = exps[c]
-        return image == target and dets[c] == dets[rep].galois(k)
-
-    return tuple(all(moved(o.classes[0], c, k) for c, k in o.checks)
-                 for o in _galois_orbits(tau.group, order))
 
 
 def eta_donnelly_float(tau: FreeUnitaryRep, rho: VirtualCharacter) -> float:
@@ -498,11 +384,15 @@ def eta_of_float(manifold: ManifoldSpec, rho: VirtualCharacter) -> float:
     try:
         coeffs = _coefficients(manifold, rho)
         if manifold.lens is not None:
-            return _lens_float(manifold.lens, coeffs)
-        return eta_donnelly_float(quaternion_free_rep(manifold.quaternion_k),
-                                  VirtualCharacter(character_table("q8"), coeffs))
+            value = _lens_float(manifold.lens, coeffs)
+        else:
+            value = eta_donnelly_float(quaternion_free_rep(manifold.quaternion_k),
+                                       VirtualCharacter(character_table("q8"), coeffs))
     except OverflowError:
-        raise FloatRangeError("the eta value is outside double range") from None
+        value = math.nan
+    if not math.isfinite(value):  # an overflow to inf ends in inf/inf = nan
+        raise FloatRangeError("the eta value is outside double range")
+    return value
 
 
 def thm31_modulus(dimension: int, rho: VirtualCharacter) -> Modulus:
@@ -550,11 +440,11 @@ def span_order_lower_bound(rows: Sequence[Sequence[Fraction]]) -> int:
     return eta_order(rational_determinant(rows), Modulus.Z)
 
 
-def recursion_check(a: Sequence[int], l: int = 8) -> bool:
-    """Appending weights (1,1,5,5) halves the lens eta against r4 - r0:
-    verified exactly for the given base tuple."""
-    table = character_table(f"c{l}")
+def recursion_check(a: Sequence[int]) -> bool:
+    """Appending weights (1,1,5,5) halves the eta of S^(4i-1)/C_8 against
+    r4 - r0: verified exactly for the given base tuple."""
+    table = character_table("c8")
     rho = table.irreducible("r4") - table.irreducible("r0")
-    base = eta_of(ManifoldSpec(lens=LensSpec(l, tuple(a))), rho)
-    extended = eta_of(ManifoldSpec(lens=LensSpec(l, tuple(a) + (1, 1, 5, 5))), rho)
+    base = eta_of(ManifoldSpec(lens=LensSpec(8, tuple(a))), rho)
+    extended = eta_of(ManifoldSpec(lens=LensSpec(8, tuple(a) + (1, 1, 5, 5))), rho)
     return extended == base / 2

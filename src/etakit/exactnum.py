@@ -11,10 +11,8 @@ walks the nonzero low terms of Phi_n; for n = 2^k that is the single
 term of x^(n/2) + 1 (negacyclic folding).
 The product of the other Galois conjugates of x is N(x)/x for the
 rational norm N(x), and dividing it by N(x) gives the inverse.  The
-sum of the conjugates, the trace, needs no conjugate at all: it is the
-dot product of the numerators with a cached row of Ramanujan sums.  The
-eigenvalue factors (1 - zeta_n^e)^-1 of the eta sums need no inverse: the
-geometric-sum identity writes each as an integer polynomial over n.  A
+eigenvalue factors (1 - zeta_n^e)^-1 of the Donnelly sum need no inverse:
+the geometric-sum identity writes each as an integer polynomial over n.  A
 weighted Hermitian sum sum w*x*conj(y), the character inner product,
 needs no field product either: `hermitian_sum` lifts every value into
 Z[x]/(x^N - 1) for the lcm N of the orders, where conjugation negates
@@ -314,12 +312,6 @@ class CyclotomicNumber:
         # content of the numerators and the denominator stays normal
         return _make(n, _reduce(poly, n), self._den)
 
-    def trace(self) -> Fraction:
-        """The trace down to Q, the sum of the phi(n) conjugates galois(k):
-        the numerators against the cached row Tr(z^j) of `_trace_row`."""
-        row = _trace_row(self._n)
-        return Fraction(sum(c * t for c, t in zip(self._num, row)), self._den)
-
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation zeta -> zeta^(-1)."""
         return self.galois(self._n - 1) if self._n > 1 else self
@@ -348,28 +340,6 @@ class CyclotomicNumber:
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self.order}, {[str(c) for c in self.coeffs]})"
-
-
-def _mobius(n: int) -> int:
-    result, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if n > 1 else result
-
-
-@lru_cache(maxsize=None)
-def _trace_row(n: int) -> tuple[int, ...]:
-    """Tr(zeta_n^j) for j < phi(n), the Ramanujan sum mu(q) phi(n)/phi(q)
-    with q = n/gcd(j, n): zeta_n^j is a primitive q-th root of unity, whose
-    conjugates over Q sum to mu(q), each taken phi(n)/phi(q) times."""
-    phi = _field(n)[0]
-    qs = (n // math.gcd(j, n) for j in range(phi))
-    return tuple(_mobius(q) * (phi // euler_phi(q)) for q in qs)
 
 
 @lru_cache(maxsize=None)

@@ -16,9 +16,6 @@ code with the path it checks.
   product, conjugation and sum per term, the oracle of
   `exactnum.hermitian_sum`, which lifts the values into one integer
   polynomial and reduces it once.
-- `donnelly_by_class`: the Donnelly sum with one summand per non-identity
-  class and one factor per eigenvalue slot, the oracle of `eta`'s sum over
-  Galois orbits of classes with one power per distinct eigenvalue.
 - `values_by_term`: the class values of a virtual character summed one
   term c * value at a time in the field, the oracle of
   `VirtualCharacter.values`, which reduces one integer combination per
@@ -27,7 +24,7 @@ code with the path it checks.
 
 from fractions import Fraction
 
-from etakit.exactnum import CyclotomicNumber, inverse_one_minus_root
+from etakit.exactnum import CyclotomicNumber
 from etakit.f2ring import gf2_echelon
 
 
@@ -143,28 +140,6 @@ def hermitian_sum_per_term(weights, xs, ys, divisor):
     for w, x, y in zip(weights, xs, ys):
         total = total + w * x * y.conjugate()
     return total * Fraction(1, divisor)
-
-
-def donnelly_by_class(tau, group, values):
-    """|G|^-1 sum over the non-identity classes c of size(c) * values[c]
-    * det_sqrt(c) / det(I - tau(c)), times the bundle factor
-    sum_j (c_j/2) (1 + lambda_j)/(1 - lambda_j) when tau carries Chern
-    numbers: the rational total, or None when the total is not rational."""
-    n = tau.root_order
-    total = CyclotomicNumber.from_rational(0)
-    for c in range(1, len(group.classes)):
-        exps = tau.eigen_exponents[c]
-        term = values[c] * tau.det_sqrt[c]
-        for e in exps:
-            term = term * inverse_one_minus_root(n, e)
-        if tau.chern is not None:
-            factor = CyclotomicNumber.from_rational(0)
-            for e, cj in zip(exps, tau.chern):
-                if cj:
-                    factor = factor + Fraction(cj, 2) * (2 * inverse_one_minus_root(n, e) - 1)
-            term = term * factor
-        total = total + group.class_sizes[c] * term
-    return (total * Fraction(1, group.order)).as_rational()
 
 
 def values_by_term(chi):

@@ -435,25 +435,6 @@ def test_power_multiplies_once_per_bit(monkeypatch, exponent, products):
     assert len(calls) == products
 
 
-@settings(max_examples=50, deadline=None)
-@given(data=st.data(), order=st.integers(min_value=1, max_value=64))
-def test_trace_is_the_sum_of_the_conjugates(data, order):
-    phi = euler_phi(order)
-    x = CyclotomicNumber(order, data.draw(st.lists(
-        st.one_of(st.just(Fraction(0)), small_rational), min_size=phi, max_size=phi)))
-    total = CyclotomicNumber.from_rational(0)
-    for k in range(1, order + 1):
-        if math.gcd(k, order) == 1:
-            total = total + x.galois(k)
-    assert total.as_rational() == x.trace()
-
-
-def test_trace_of_roots_of_unity_is_the_ramanujan_sum():
-    # Tr(zeta_12^j) = mu(q) phi(12)/phi(q), q = 12/gcd(j, 12)
-    assert [root_of_unity(12, j).trace() for j in range(12)] == \
-        [4, 0, 2, 0, -2, 0, -4, 0, -2, 0, 2, 0]
-
-
 @st.composite
 def monomial_and_dense(draw, order):
     """(m, x, d): m = c z^s with one nonzero power-basis coefficient, x any
