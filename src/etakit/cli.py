@@ -13,7 +13,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -48,12 +48,16 @@ _CHAR_ALIASES = {
 # -- configuration ---------------------------------------------------------------
 
 
-@dataclass
-class Config:
-    degree_bound: int = 64
-    algebras: dict = field(default_factory=dict)
-    steenrod: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)
+class Config(namedtuple("Config", "degree_bound algebras steenrod tables")):
+    """The parsed configuration; each mapping left out is a new empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, degree_bound: int = 64, algebras: Optional[dict] = None,
+                steenrod: Optional[dict] = None, tables: Optional[dict] = None):
+        return super().__new__(cls, degree_bound, {} if algebras is None else algebras,
+                               {} if steenrod is None else steenrod,
+                               {} if tables is None else tables)
 
 
 def load_config(path: Optional[str]) -> Config:

@@ -7,10 +7,12 @@ lens-space bundle over S^2 goes to `_lens_sum`, an integer computation in
 Z[x]/(x^l - 1) on packed ints: each weight contributes the polynomial with
 coefficient i at e*i mod l, since 1/(1 - y) = -(1/l) sum_i i y^i at every
 l-th root of unity y != 1 (Zagier, Higher dimensional Dedekind sums,
-Math. Ann. 202, 1973).  A quotient S^(4k+3)/Q8 goes to `_quaternion_sum`,
-one rational per builtin irreducible of Q8 and k, since every Donnelly
-summand is rational there (Gilkey, The Geometry of Spherical Space Form
-Groups).
+Math. Ann. 202, 1973); the rotation x^h of the determinant square root
+moves the read-out rather than entering the product.  A quotient
+S^(4k+3)/Q8 goes to `_quaternion_sum`, one integer combination of closed
+forms: with m = k + 1, each class factor det_sqrt/det(1 - tau) is 4^-m at
+[-1] and 2^-m at [i], [j] and [k] (Gilkey, The Geometry of Spherical Space
+Form Groups), so no representation is built.
 
 The Donnelly sum over the non-identity classes of a fixed-point-free
 representation, in Q(zeta_n), is the engine of `eta_donnelly` and the
@@ -34,15 +36,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import operator
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .exactnum import CyclotomicNumber, inverse_one_minus_root
-from .grouprep import (FiniteGroup, FreeUnitaryRep, InclusionMap,
+from .grouprep import (QUATERNION_K_CAP, FiniteGroup, FreeUnitaryRep, InclusionMap,
                        VirtualCharacter, builtin_coefficients, builtin_group,
                        character_table, free_action_data, is_quaternion_type,
                        is_real_type, quaternion_free_rep)
@@ -73,8 +73,7 @@ def eta_order(value: Fraction, modulus: Modulus) -> int:
     return q2 // math.gcd(value.numerator, q2)
 
 
-@dataclass(frozen=True)
-class EtaValue:
+class EtaValue(NamedTuple):
     value: Fraction
     modulus: Modulus = Modulus.Z
 
@@ -86,8 +85,7 @@ class EtaValue:
         return f"{self.value} (order {self.order} mod {self.modulus})"
 
 
-@dataclass(frozen=True)
-class LensSpec:
+class LensSpec(namedtuple("LensSpec", "l a kind chern")):
     """Defining data of a lens space S^(4i-1)/C_l (kind "sphere") or of a
     lens-space bundle over S^2 (kind "bundle", dimension 4i+1).
 
@@ -95,24 +93,23 @@ class LensSpec:
     first Chern number of the j-th line-bundle summand (the standard
     construction has chern = (2, 0, ..., 0))."""
 
-    l: int
-    a: tuple[int, ...]
-    kind: str = "sphere"
-    chern: Optional[tuple[int, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        if self.kind not in ("sphere", "bundle"):
+    def __new__(cls, l: int, a: Sequence[int], kind: str = "sphere",
+                chern: Optional[Sequence[int]] = None):
+        a = tuple(int(x) for x in a)
+        if kind not in ("sphere", "bundle"):
             raise ValueError("kind must be 'sphere' or 'bundle'")
-        bundle = self.kind == "bundle"
-        if bundle and self.chern is None:
-            object.__setattr__(self, "chern", (2,) + (0,) * (len(self.a) - 1))
+        bundle = kind == "bundle"
+        if bundle and chern is None:
+            chern = (2,) + (0,) * (len(a) - 1)
         # weight errors come before chern errors
-        _, chern = free_action_data(self.l, self.a, self.chern if bundle else None)
+        _, checked = free_action_data(l, a, chern if bundle else None)
         if bundle:
-            object.__setattr__(self, "chern", chern)
-        elif self.chern is not None:
+            chern = checked
+        elif chern is not None:
             raise ValueError("sphere-kind lens spaces carry no chern data")
+        return super().__new__(cls, l, a, kind, chern)
 
     @property
     def dimension(self) -> int:
@@ -120,21 +117,19 @@ class LensSpec:
         return base if self.kind == "sphere" else base + 2
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
+class ManifoldSpec(namedtuple("ManifoldSpec", "lens quaternion_k inclusion bott_power")):
     """A manifold the engine can evaluate: a cyclic lens space or bundle,
     or a quaternionic sphere quotient S^(4k+3)/Q8, optionally pushed into
     a bigger group along `inclusion` and multiplied by `bott_power` copies
     of the Bott manifold (dimension +8 each, eta values unchanged)."""
 
-    lens: Optional[LensSpec] = None
-    quaternion_k: Optional[int] = None
-    inclusion: Optional[InclusionMap] = None
-    bott_power: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.lens is None) == (self.quaternion_k is None):
+    def __new__(cls, lens: Optional[LensSpec] = None, quaternion_k: Optional[int] = None,
+                inclusion: Optional[InclusionMap] = None, bott_power: int = 0):
+        if (lens is None) == (quaternion_k is None):
             raise ValueError("specify exactly one of lens / quaternion_k")
+        return super().__new__(cls, lens, quaternion_k, inclusion, bott_power)
 
     @property
     def dimension(self) -> int:
@@ -191,12 +186,11 @@ def eta_donnelly_float(tau: FreeUnitaryRep, rho: VirtualCharacter) -> float:
     n = tau.root_order
     total = 0j
     for c in range(1, len(tau.group.classes)):
-        det = 1.0 + 0j
-        for e in tau.eigen_exponents[c]:
-            det *= 1 - cmath.exp(2j * cmath.pi * e / n)
-        term = rho.values[c].to_complex() * tau.det_sqrt[c].to_complex() / det
+        lams = [cmath.exp(2j * cmath.pi * e / n) for e in tau.eigen_exponents[c]]
+        term = rho.values[c].to_complex() * tau.det_sqrt[c].to_complex()
+        for lam in lams:  # one factor at a time: det(I - tau) itself overflows
+            term /= 1 - lam
         if tau.chern is not None:
-            lams = (cmath.exp(2j * cmath.pi * e / n) for e in tau.eigen_exponents[c])
             term *= sum(0.5 * cj * (1 + lam) / (1 - lam) for lam, cj in zip(lams, tau.chern))
         total += tau.group.class_sizes[c] * term
     return (total / tau.group.order).real
@@ -233,19 +227,19 @@ def _lens_sum(spec: LensSpec, coeffs: Sequence[int]) -> Fraction:
     For y = zeta^t != 1, 1/(1 - y) = -(1/l) sum_i i y^i, so the polynomial
     F_e with coefficient i at e*i mod l has F_e(zeta^k) = -l (1 - zeta^(ke))^-1
     for every weight e and k != 0 mod l.  With h = sum(a)/2 and w weights
-    (w is even, so the signs cancel), the summand at g^k is T(zeta^k) / D
-    for T = x^h prod_j F_(a_j) and D = l^w.  For a bundle, (1 + y)/(1 - y)
+    (w is even, so the signs cancel), the summand at g^k is zeta^(kh) T(zeta^k) / D
+    for T = prod_j F_(a_j) and D = l^w.  For a bundle, (1 + y)/(1 - y)
     = -(2 F_e + l)(zeta^k)/l, so T gains the factor sum_j c_j (2 F_(a_j) + l)
     and D becomes -2 l^(w+1).  Since sum_(k=1)^(l-1) zeta^(kt) = l [t = 0] - 1,
 
-        eta = (l sum_m coeffs[m] T[-m] - dim rho * T(1)) / (l D),
+        eta = (l sum_m coeffs[m] T[-m - h] - dim rho * T(1)) / (l D),
 
-    which reads one coefficient of T per nonzero coeffs[m].  Adding a
-    multiple of sum_t x^t to T changes neither T(zeta^k) nor eta, which
-    keeps every coefficient >= 0."""
-    l = spec.l
+    which reads one coefficient of T per nonzero coeffs[m]: the factor x^h
+    is a rotation, so it moves the read-out instead of entering the
+    product.  Adding a multiple of sum_t x^t to T changes neither T(zeta^k)
+    nor eta, which keeps every coefficient >= 0."""
+    l, h = spec.l, sum(spec.a) // 2
     factors = [_weight_factor(l, e) for e in sorted(e % l for e in spec.a)]
-    factors.append(_Packed(1 << 8 * (sum(spec.a) // 2 % l), 1, 1))  # x^h
     while len(factors) > 1:  # a balanced product tree: each level doubles the width
         factors = [_times(factors[i], factors[i + 1], l) if i + 1 < len(factors)
                    else factors[i] for i in range(0, len(factors), 2)]
@@ -263,7 +257,7 @@ def _lens_sum(spec: LensSpec, coeffs: Sequence[int]) -> Fraction:
         denominator *= -2 * l
     bits = 8 * poly.width
     mask = (1 << bits) - 1
-    paired = sum(cm * (poly.packed >> bits * (-m % l) & mask)
+    paired = sum(cm * (poly.packed >> bits * ((-m - h) % l) & mask)
                  for m, cm in enumerate(coeffs) if cm)
     return Fraction(l * paired - sum(coeffs) * poly.total, l * denominator)
 
@@ -286,11 +280,10 @@ def _pack(coeffs: Sequence[int]) -> _Packed:
 
 @lru_cache(maxsize=None)
 def _weight_factor(l: int, e: int) -> _Packed:
-    """F_e, built once per (l, e)."""
-    coeffs = [0] * l
-    for i in range(l):
-        coeffs[e * i % l] = i
-    return _pack(coeffs)
+    """F_e, built once per (l, e): its coefficient at j is e^-1 j mod l, as
+    e is coprime to l."""
+    inv = pow(e, -1, l)
+    return _pack([inv * j % l for j in range(l)])
 
 
 def _times(x: _Packed, y: _Packed, l: int) -> _Packed:
@@ -354,22 +347,19 @@ def _quaternion_sum(k: int, coeffs: Sequence[int]) -> Fraction:
 @lru_cache(maxsize=None)
 def _quaternion_etas(k: int) -> tuple[tuple[int, ...], int]:
     """eta(S^(4k+3)/Q8; chi_r) for each builtin chi_r, numerators over one
-    denominator: sum_(c != 1) size(c) chi_r(c) det_sqrt(c) / det(1 - tau(c))
-    over |Q8|.  The eigenvalues are powers i^e, and det(1 - tau(c)) is
-    rational iff e = 1, 3 occur equally often mod 4: (1 +- i)^4 = -4."""
-    tau = quaternion_free_rep(k)
-    sizes, weights = tau.group.class_sizes, []
-    for c in range(1, len(sizes)):
-        exps, det_sqrt = tau.eigen_exponents[c], tau.det_sqrt[c].as_rational()
-        plus, minus = exps.count(1), exps.count(3)
-        if (plus - minus) % 4 or det_sqrt is None:
-            raise NonRationalSumError(f"the Q8 class factor at class {c} is not rational")
-        det = 2 ** (exps.count(2) + min(plus, minus)) * (-4) ** (abs(plus - minus) // 4)
-        weights.append(sizes[c] * det_sqrt / det)
-    scale = math.lcm(*(w.denominator for w in weights))
-    weights = [int(w * scale) for w in weights]
-    rows = _q8_rows()
-    return tuple(sum(map(operator.mul, weights, row[1:])) for row in rows), tau.group.order * scale
+    denominator, in closed form.  tau is m = k + 1 copies of the
+    2-dimensional representation with det_sqrt = 1, so det(1 - tau) is
+    2^(2m) at [-1] (eigenvalue -1, 2m times) and 2^m at [i], [j] and [k]
+    (eigenvalues +-i, m times each, and (1 - i)(1 + i) = 2).  Over |Q8| = 8,
+    with class sizes 1 and 2,
+
+        eta = (chi([-1]) + 2^(m+1) (chi([i]) + chi([j]) + chi([k]))) / (8 4^m)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k > QUATERNION_K_CAP:
+        raise ValueError(f"k = {k} exceeds the cap {QUATERNION_K_CAP}")
+    m = k + 1
+    return tuple(row[1] + (sum(row[2:]) << m + 1) for row in _q8_rows()), 8 << 2 * m
 
 
 @lru_cache(maxsize=None)

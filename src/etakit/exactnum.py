@@ -6,9 +6,11 @@ denominator, with gcd(den, *num) = 1.  That normal form is unique, so
 equality, rationality tests and serialization are all exact.
 
 A product is an integer convolution, or a shift when a factor is a
-monomial c z^s, then one reduction by the monic integer Phi_n, which
-walks the nonzero low terms of Phi_n; for n = 2^k that is the single
-term of x^(n/2) + 1 (negacyclic folding).
+monomial c z^s, then one reduction: a fold by x^n = 1, as Phi_n divides
+x^n - 1, and a division by the monic integer Phi_n of the at most
+n - phi(n) coefficients left above degree phi(n), each walking the
+nonzero low terms of Phi_n; for n = 2^k that is the single term of
+x^(n/2) + 1 (negacyclic folding).
 The product of the other Galois conjugates of x is N(x)/x for the
 rational norm N(x), and dividing it by N(x) gives the inverse.  The
 eigenvalue factors (1 - zeta_n^e)^-1 of the Donnelly sum need no inverse:
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
@@ -98,8 +101,14 @@ def _field(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def _reduce(poly: list[int], n: int) -> tuple[int, ...]:
-    """Integer polynomial (constant term first) mod Phi_n, as phi(n) ints."""
+    """Integer polynomial (constant term first) mod Phi_n, as phi(n) ints.
+    Phi_n divides x^n - 1, so x^(n+i) folds onto x^i first, and at most
+    n - phi(n) top coefficients are left to divide out: one at prime n."""
     phi, tail = _field(n)
+    for start in range(n, len(poly), n):
+        top = poly[start:start + n]
+        poly[:len(top)] = map(operator.add, poly, top)
+    del poly[n:]
     _divide(poly, phi, tail)
     if len(poly) < phi:
         poly += [0] * (phi - len(poly))

@@ -13,10 +13,9 @@ order information as the raw invariants.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .eta import (LensSpec, ManifoldSpec, Modulus, eta_of, eta_order,
                   span_order_lower_bound, thm31_modulus)
@@ -31,8 +30,7 @@ from .grouprep import (NAMED_INCLUSIONS, CharacterTable, InclusionMap,
                        named_inclusion, restrict_virtual)
 
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     anchor: str
     expected: str
@@ -113,8 +111,7 @@ def table_ko_order(n: int) -> int:
 # -- shared scenario data -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sd16Fixture:
+class Sd16Fixture(NamedTuple):
     """The fixed group-side objects of the SD16 accounting: character
     tables, the inclusions of the named subgroups into SD16, the six span
     columns and the powers (2 - tau)^p, p = 1, 2, 3, on Q8."""
@@ -654,8 +651,7 @@ SUITES: dict[str, Callable[[], list[ClaimResult]]] = {
 }
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     claims: list[ClaimResult]
 
     @property

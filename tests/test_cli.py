@@ -177,24 +177,32 @@ class TestEtaCommand:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith(error) and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("argv,huge", [
-        (("--k", "1", "--rho", "(2-tau)^600"), True),
-        (("--k", "1", "--rho", "(2-tau)^1024"), True),
-        # a small value, but det(I - tau) overflows in the float mirror
-        (("--k", "1024", "--rho", "2-tau"), False),
-    ], ids=["600", "1024", "k1024"])
-    def test_value_outside_double_range(self, capsys, argv, huge):
+    @pytest.mark.parametrize("argv", [
+        ("--k", "1", "--rho", "(2-tau)^600"),
+        ("--k", "1", "--rho", "(2-tau)^1024"),
+    ], ids=["600", "1024"])
+    def test_value_outside_double_range(self, capsys, argv):
         # the exact value needs no float; --float ends in a typed error
         argv = ("eta", "quaternion") + argv
         code, out, err = run_cli(capsys, *argv)
         value, _, order = out.partition(" ")
         assert (code, err) == (0, "") and order.startswith("(order ")
-        if huge:
-            with pytest.raises(OverflowError):
-                float(Fraction(value))
+        with pytest.raises(OverflowError):
+            float(Fraction(value))
         code, out, err = run_cli(capsys, *argv, "--float")
         assert (code, out) == (1, "")
         assert err == "FloatRangeError: the eta value is outside double range\n"
+
+    def test_float_at_the_quaternion_cap(self, capsys):
+        # det(I - tau) = 2^2050 at [-1] is beyond double range, but the
+        # value, about 4.2e-309, is not: the mirror divides factor by factor
+        argv = ("eta", "quaternion", "--k", "1024", "--rho", "2-tau")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        exact = float(Fraction(out.partition(" ")[0]))
+        code, out, err = run_cli(capsys, *argv, "--float")
+        assert (code, err) == (0, "")
+        assert abs(float(out) - exact) <= 1e-9 * exact
 
     def test_character_grammar(self):
         t = character_table("sd16")
@@ -534,3 +542,17 @@ class TestOptimizedInterpreter:
         proc = run_module("-O", "-m", "etakit.cli", *VERIFY_JSON.split(), timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "verify_all.json").read_text(encoding="utf-8")
+
+
+class TestStartup:
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        proc = run_module("-c", "import sys, etakit.cli; "
+                          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+                          timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_config_values(self):
+        a, b = cli.Config(), cli.Config()
+        assert a == b and a.algebras is not b.algebras
+        assert str(a) == "Config(degree_bound=64, algebras={}, steenrod={}, tables={})"
+        assert cli.Config(16).degree_bound == 16

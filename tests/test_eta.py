@@ -336,8 +336,28 @@ class TestQuaternionEngine:
             values = chi.values
         value = eta_of(manifold, chi)
         assert value == eta_donnelly(tau, on_q8) == eta._donnelly_sum(tau, tau.group, values)
-        if k <= 17:  # the float mirror overflows long before the cap
-            assert abs(eta_of_float(manifold, chi) - float(value)) < 1e-9
+        assert abs(eta_of_float(manifold, chi) - float(value)) < 1e-9
+
+    @pytest.mark.parametrize("k", list(range(65)) + [grouprep.QUATERNION_K_CAP])
+    def test_closed_form_against_donnelly(self, k):
+        # every builtin irreducible, so every character by linearity
+        tau, table = quaternion_free_rep(k), character_table("q8")
+        for name in table.irreducible_names:
+            chi = table.irreducible(name)
+            assert eta_of(ManifoldSpec(quaternion_k=k), chi) == \
+                eta._donnelly_sum(tau, tau.group, chi.values)
+
+    def test_builds_no_representation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a FreeUnitaryRep was built")
+        monkeypatch.setattr(FreeUnitaryRep, "__init__", refuse)
+        eta._quaternion_etas.cache_clear()
+        grouprep._quaternion_free_rep.cache_clear()
+        chi = 2 - character_table("q8").irreducible("tau")
+        for k in (0, 1, 17, grouprep.QUATERNION_K_CAP):
+            eta_of(ManifoldSpec(quaternion_k=k), chi)
+        with pytest.raises(RuntimeError, match="FreeUnitaryRep"):
+            quaternion_free_rep(0)
 
     def test_row_permuted_table(self):
         # tau - 2 r0, whose coefficients read by position as builtin ones
@@ -364,19 +384,14 @@ class TestQuaternionEngine:
         eta_of(ManifoldSpec(quaternion_k=2, inclusion=fx.q8), ambient)
         assert "values" not in vars(on_q8) and "values" not in vars(ambient)
 
-    @pytest.mark.parametrize("k,finite", [(511, True), (512, False),
-                                          (grouprep.QUATERNION_K_CAP, False)])
-    def test_float_mirror_at_its_overflow(self, k, finite):
-        # det(I - tau) overflows to inf from k = 512 on, and inf/inf is nan:
-        # a typed error, though the exact value is small
+    @pytest.mark.parametrize("k", [511, 512, grouprep.QUATERNION_K_CAP])
+    def test_float_mirror_at_its_overflow(self, k):
+        # det(I - tau) overflows from k = 512 on, but the mirror divides by
+        # one factor 1 - lambda at a time, and the small value stays in range
         manifold = ManifoldSpec(quaternion_k=k)
         chi = 2 - character_table("q8").irreducible("tau")
         value = eta_of(manifold, chi)
-        if finite:
-            assert abs(eta_of_float(manifold, chi) - float(value)) <= 1e-9 * float(value)
-        else:
-            with pytest.raises(FloatRangeError, match="outside double range"):
-                eta_of_float(manifold, chi)
+        assert abs(eta_of_float(manifold, chi) - float(value)) <= 1e-9 * float(value)
 
     @pytest.mark.parametrize("evaluate", [eta_of, eta_of_float])
     def test_character_on_the_wrong_group(self, evaluate):
@@ -399,16 +414,14 @@ class TestQuaternionEngine:
         # det(1 - tau) is rational everywhere, det_sqrt is +-i off the identity
         ([(0, 0, 0), (2, 2, 2)] + [(1, 3, 2)] * 3, [1] + [root_of_unity(4, 1)] * 4),
     ])
-    def test_non_rational_class_factor_raises(self, monkeypatch, exponents, det_sqrt):
+    def test_non_rational_class_factor_raises(self, exponents, det_sqrt):
         # a typed error, which python -O keeps
         q8 = builtin_group("q8")
         tau = FreeUnitaryRep(q8, len(exponents[0]), 4, exponents,
                              [CyclotomicNumber.from_rational(d) if isinstance(d, int) else d
                               for d in det_sqrt])
-        monkeypatch.setattr(eta, "quaternion_free_rep", lambda k: tau)
-        eta._quaternion_etas.cache_clear()
-        with pytest.raises(NonRationalSumError, match="class factor .* is not rational"):
-            eta_of(ManifoldSpec(quaternion_k=0), character_table("q8").trivial())
+        with pytest.raises(NonRationalSumError, match="did not reduce to a rational"):
+            eta_donnelly(tau, character_table("q8").trivial())
 
 
 class TestOrders:
@@ -426,6 +439,39 @@ class TestOrders:
         v = EtaValue(Fraction(7, 8), Modulus.TWO_Z)
         assert v.order == 16
         assert str(v) == "7/8 (order 16 mod 2Z)"
+        assert EtaValue(Fraction(1, 2)).modulus is Modulus.Z
+
+
+class TestSpecValues:
+    """Specs are immutable values: equal data, equal and equally hashed."""
+
+    def test_lens_spec(self):
+        spec = LensSpec(8, [1, 5], "bundle")
+        assert spec == LensSpec(8, (1, 5), "bundle", (2, 0))
+        assert hash(spec) == hash(LensSpec(8, (1, 5), "bundle", (2, 0)))
+        assert str(spec) == "LensSpec(l=8, a=(1, 5), kind='bundle', chern=(2, 0))"
+        assert spec.dimension == 5 and LensSpec(8, (1, 5)).dimension == 3
+        with pytest.raises(AttributeError):
+            spec.l = 16
+
+    @pytest.mark.parametrize("args,error", [
+        ((8, (1, 1), "disc"), "kind must be 'sphere' or 'bundle'"),
+        ((8, (1, 1), "sphere", (2, 0)), "carry no chern data"),
+        ((8, (1, 2), "bundle", (2,)), "every weight must be odd"),
+    ])
+    def test_lens_spec_errors(self, args, error):
+        with pytest.raises(ValueError, match=error):
+            LensSpec(*args)
+
+    def test_manifold_spec(self):
+        m = ManifoldSpec(quaternion_k=2, bott_power=1)
+        assert m == ManifoldSpec(None, 2, None, 1) and hash(m) == hash(ManifoldSpec(None, 2, None, 1))
+        assert m.dimension == 19
+        assert str(m) == "ManifoldSpec(lens=None, quaternion_k=2, inclusion=None, bott_power=1)"
+        with pytest.raises(ValueError, match="exactly one of lens / quaternion_k"):
+            ManifoldSpec()
+        with pytest.raises(AttributeError):
+            m.bott_power = 0
 
 
 class TestAgreement:

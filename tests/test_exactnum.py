@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -329,6 +330,18 @@ def test_matches_fraction_kernel(operands, data):
 def test_cyclotomic_polynomial_matches_fraction_division():
     for n in range(1, 65):
         assert cyclotomic_polynomial(n) == _ref_phi_poly(n), n
+
+
+def test_reduce_matches_long_division():
+    # the fold by x^n = 1 before the division by Phi_n keeps the remainder,
+    # also for polynomials past degree 2n that fold more than once
+    rng = random.Random(26)
+    for n in range(1, 65):
+        phi = euler_phi(n)
+        for size in [rng.randint(1, 2 * phi) for _ in range(8)] + [2 * phi, 3 * n + 1]:
+            poly = [rng.randint(-50, 50) for _ in range(size)]
+            want = _ref_from_poly(n, [Fraction(c) for c in poly])
+            assert exactnum._reduce(list(poly), n) == want, (n, poly)
 
 
 def test_cyclotomic_polynomial_checks_the_remainder(monkeypatch):
