@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etakit import eta
-from etakit.eta import (EtaValue, FloatRangeError, LensSpec, ManifoldSpec, Modulus,
+from etakit.eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
                         NonRationalSumError, eta_donnelly, eta_donnelly_float,
                         eta_of, eta_of_float, eta_order, rational_determinant,
                         recursion_check, span_order_lower_bound, thm31_modulus)
