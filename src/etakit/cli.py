@@ -151,12 +151,20 @@ def _parse_fraction_matrix(text: str) -> list[list[Fraction]]:
             for row in text.split(";")]
 
 
+def _custom(tag: str, entries: dict, missing: str):
+    """The configured entry a `custom:<name>` tag names; None for other tags."""
+    if not tag.startswith("custom:"):
+        return None
+    name = tag[len("custom:"):]
+    if name not in entries:
+        raise ValidationError(missing.format(repr(name)))
+    return entries[name]
+
+
 def _resolve_algebra(tag: str, cfg: Config) -> PresentedF2Algebra:
-    if tag.startswith("custom:"):
-        name = tag[len("custom:"):]
-        if name not in cfg.algebras:
-            raise ValidationError(f"no custom algebra {name!r} in the configuration")
-        return cfg.algebras[name]
+    custom = _custom(tag, cfg.algebras, "no custom algebra {} in the configuration")
+    if custom is not None:
+        return custom
     if tag == "sd":
         return semidihedral_cohomology(cfg.degree_bound)
     if tag == "d8":
@@ -181,11 +189,9 @@ def _resolve_algebra(tag: str, cfg: Config) -> PresentedF2Algebra:
 
 def _resolve_steenrod(tag: str, algebra: PresentedF2Algebra, branch: str,
                       cfg: Config) -> SteenrodData:
-    if tag.startswith("custom:"):
-        name = tag[len("custom:"):]
-        if name not in cfg.steenrod:
-            raise ValidationError(f"no steenrod data for custom algebra {name!r}")
-        return cfg.steenrod[name]
+    custom = _custom(tag, cfg.steenrod, "no steenrod data for custom algebra {}")
+    if custom is not None:
+        return custom
     if tag == "sd":
         return semidihedral_steenrod(algebra)
     if re.fullmatch(r"m(\d+)", tag):
@@ -195,12 +201,8 @@ def _resolve_steenrod(tag: str, algebra: PresentedF2Algebra, branch: str,
 
 
 def _character_table_for(tag: str, cfg: Config) -> CharacterTable:
-    if tag.startswith("custom:"):
-        name = tag[len("custom:"):]
-        if name not in cfg.tables:
-            raise ValidationError(f"no custom table {name!r} in the configuration")
-        return cfg.tables[name]
-    return character_table(tag)
+    custom = _custom(tag, cfg.tables, "no custom table {} in the configuration")
+    return character_table(tag) if custom is None else custom
 
 
 # -- command handlers ------------------------------------------------------------------

@@ -182,18 +182,24 @@ def _donnelly_sum(tau: FreeUnitaryRep, group: FiniteGroup,
 
 
 def eta_donnelly_float(tau: FreeUnitaryRep, rho: VirtualCharacter) -> float:
-    """Double-precision mirror of `eta_donnelly`, used as a cross-check."""
+    """Double-precision mirror of `eta_donnelly`, used as a cross-check.
+    A value that underflows to zero raises `FloatRangeError`."""
     n = tau.root_order
-    total = 0j
+    total, lost = 0j, False
     for c in range(1, len(tau.group.classes)):
         lams = [cmath.exp(2j * cmath.pi * e / n) for e in tau.eigen_exponents[c]]
-        term = rho.values[c].to_complex() * tau.det_sqrt[c].to_complex()
+        numerator = rho.values[c].to_complex() * tau.det_sqrt[c].to_complex()
+        term = numerator
         for lam in lams:  # one factor at a time: det(I - tau) itself overflows
             term /= 1 - lam
+        lost |= term == 0 and numerator != 0
         if tau.chern is not None:
             term *= sum(0.5 * cj * (1 + lam) / (1 - lam) for lam, cj in zip(lams, tau.chern))
         total += tau.group.class_sizes[c] * term
-    return (total / tau.group.order).real
+    value = (total / tau.group.order).real
+    if value == 0 and (lost or total.real != 0):
+        raise FloatRangeError("the eta value is outside double range")
+    return value
 
 
 def _lens_float(spec: LensSpec, coeffs: Sequence[int]) -> float:

@@ -193,6 +193,14 @@ class TestEtaCommand:
         assert (code, out) == (1, "")
         assert err == "FloatRangeError: the eta value is outside double range\n"
 
+    @pytest.mark.parametrize("k", ["536", "600", "1024"])
+    def test_value_that_underflows(self, capsys, k):
+        # against tau the value is -4^-(k+1)/4, below the least subnormal
+        code, out, err = run_cli(capsys, "eta", "quaternion", "--k", k, "--rho", "tau",
+                                 "--float")
+        assert (code, out) == (1, "")
+        assert err == "FloatRangeError: the eta value is outside double range\n"
+
     def test_float_at_the_quaternion_cap(self, capsys):
         # det(I - tau) = 2^2050 at [-1] is beyond double range, but the
         # value, about 4.2e-309, is not: the mirror divides factor by factor
@@ -392,6 +400,19 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == 1 and "KeyError" in err
 
+    def test_verify_a_far_suite(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "total-space")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "288 claims, 0 failures"
+
+    def test_verify_takes_only_suite_and_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        options = {word.strip("[],") for word in capsys.readouterr().out.split()
+                   if word.lstrip("[").startswith("-")}
+        assert options == {"-h", "--help", "--suite", "--format"}
+
     def test_usage_error_exit_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eta", "cyclic", "--l", "8", "--a", "1,1"])  # missing --rho
@@ -449,6 +470,20 @@ class TestConfig:
                                "--algebra", "custom:oops", "--degree", "1")
         assert code == 1
         assert "F2ParseError" in err and "column" in err
+
+    @pytest.mark.parametrize("argv,error", [
+        (("basis", "--algebra", "custom:x", "--degree", "1"),
+         "no custom algebra 'x' in the configuration"),
+        (("sq", "--algebra", "custom:ext", "--i", "1", "--expr", "w"),
+         "no steenrod data for custom algebra 'ext'"),
+        (("table", "--group", "custom:x"), "no custom table 'x' in the configuration"),
+    ], ids=["algebra", "steenrod", "table"])
+    def test_unknown_custom_name(self, capsys, tmp_path, argv, error):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algebras": {"ext": self.EXT}}))
+        code, out, err = run_cli(capsys, "--config", str(path), *argv)
+        assert (code, out) == (1, "")
+        assert err == f"ValidationError: {error}\n"
 
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"

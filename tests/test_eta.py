@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etakit import eta
-from etakit.eta import (EtaValue, LensSpec, ManifoldSpec, Modulus,
+from etakit.eta import (EtaValue, FloatRangeError, LensSpec, ManifoldSpec, Modulus,
                         NonRationalSumError, eta_donnelly, eta_donnelly_float,
                         eta_of, eta_of_float, eta_order, rational_determinant,
                         recursion_check, span_order_lower_bound, thm31_modulus)
@@ -336,7 +336,11 @@ class TestQuaternionEngine:
             values = chi.values
         value = eta_of(manifold, chi)
         assert value == eta_donnelly(tau, on_q8) == eta._donnelly_sum(tau, tau.group, values)
-        assert abs(eta_of_float(manifold, chi) - float(value)) < 1e-9
+        if value and not float(value):  # below the least subnormal, at k = 1024
+            with pytest.raises(FloatRangeError, match="outside double range"):
+                eta_of_float(manifold, chi)
+        else:
+            assert abs(eta_of_float(manifold, chi) - float(value)) < 1e-9
 
     @pytest.mark.parametrize("k", list(range(65)) + [grouprep.QUATERNION_K_CAP])
     def test_closed_form_against_donnelly(self, k):
@@ -392,6 +396,30 @@ class TestQuaternionEngine:
         chi = 2 - character_table("q8").irreducible("tau")
         value = eta_of(manifold, chi)
         assert abs(eta_of_float(manifold, chi) - float(value)) <= 1e-9 * float(value)
+
+    @pytest.mark.parametrize("k, want", [(400, -9.373105086847693e-243), (535, -5e-324)])
+    def test_float_mirror_down_to_the_least_subnormal(self, k, want):
+        # against tau only the class [-1] counts: the value is -4^-(k+1)/4
+        manifold = ManifoldSpec(quaternion_k=k)
+        tau = character_table("q8").irreducible("tau")
+        assert float(eta_of(manifold, tau)) == want
+        assert eta_of_float(manifold, tau) == want
+
+    @pytest.mark.parametrize("k", [536, 600, grouprep.QUATERNION_K_CAP])
+    def test_float_mirror_underflow_raises(self, k):
+        manifold = ManifoldSpec(quaternion_k=k)
+        tau = character_table("q8").irreducible("tau")
+        assert float(eta_of(manifold, tau)) == 0.0
+        with pytest.raises(FloatRangeError, match="outside double range"):
+            eta_of_float(manifold, tau)
+
+    def test_float_mirror_keeps_an_exact_zero(self):
+        # k3 - k1 vanishes at [-1] and its [i], [j], [k] summands cancel
+        t = character_table("q8")
+        chi = t.irreducible("k3") - t.irreducible("k1")
+        rep = grouprep.quaternion_free_rep(grouprep.QUATERNION_K_CAP)
+        assert eta_of(ManifoldSpec(quaternion_k=grouprep.QUATERNION_K_CAP), chi) == 0
+        assert eta_donnelly_float(rep, chi) == 0.0
 
     @pytest.mark.parametrize("evaluate", [eta_of, eta_of_float])
     def test_character_on_the_wrong_group(self, evaluate):

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from etakit.glrverify import (KERAP_DIMENSION_CAP, SPAN_DEGREE_CAP, SUITES,
                               table_ko_order, verify_prop41, verify_prop51,
                               verify_prop53, verify_q8_orders, verify_sd16_odd)
 from etakit.grouprep import CharacterTable, InclusionMap
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestKerApTable:
@@ -213,6 +216,22 @@ class TestSuites:
     def test_text_summary_line(self):
         report = run_report("kerap")
         assert report.to_text().splitlines()[-1].endswith("0 failures")
+
+    def test_all_runs_the_seven_suites_in_golden_order(self):
+        assert glrverify.ALL_SUITES == ("q8", "sd16odd", "dim513", "prop41", "prop51",
+                                        "prop53", "kerap")
+        golden = json.loads((GOLDEN / "verify_all.json").read_text(encoding="utf-8"))
+        ids = [c.claim_id for name in glrverify.ALL_SUITES for c in SUITES[name]()]
+        assert [c.claim_id for c in run_report("all").claims] == ids
+        assert ids == [entry["id"] for entry in golden]
+
+    @pytest.mark.parametrize("name", ["spans", "total-space", "orders"])
+    def test_far_suite_claims(self, name):
+        # the claim ids the far sweeps gave before they were suites
+        want = json.loads((GOLDEN / "far_suite_ids.json").read_text(encoding="utf-8"))[name]
+        report = run_report(name)
+        assert [c.claim_id for c in report.claims] == want
+        assert not report.failures
 
 
 class TestSpanCounts:
